@@ -5,6 +5,7 @@
 #define RBDA_PERFBENCH_COMMON_H_
 
 #include <sys/types.h>
+#include <time.h>
 
 #include <chrono>
 #include <cstdint>
@@ -27,6 +28,17 @@ inline double NowUs() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Microseconds of CPU time the calling thread has used. On a virtual
+/// machine this leaves out the time the host ran other guests on the
+/// thread's CPU (steal time), which wall time counts; on a shared host
+/// that time varied by tens of percent between runs. A read is a system
+/// call of about 0.5 us.
+inline double ThreadCpuUs() {
+  timespec t;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
+  return t.tv_sec * 1e6 + t.tv_nsec / 1e3;
 }
 
 /// Nearest-rank quantile of `samples` (sorted in place); 0 when empty.
@@ -63,14 +75,15 @@ double PeakRssMb(pid_t pid);
 /// set-up's transient copies of its inputs.
 void ResetPeakRss();
 
-/// Median wall time, in seconds, of `repeats` calls of `setup`.
+/// Median CPU time of the calling thread, in seconds, of `repeats` calls
+/// of `setup`.
 template <typename Fn>
 double MedianSetupSeconds(int repeats, Fn&& setup) {
   std::vector<double> times;
   for (int i = 0; i < repeats; ++i) {
-    double t0 = NowUs();
+    double t0 = ThreadCpuUs();
     setup();
-    times.push_back((NowUs() - t0) / 1e6);
+    times.push_back((ThreadCpuUs() - t0) / 1e6);
   }
   return Median(times);
 }

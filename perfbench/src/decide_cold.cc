@@ -1,7 +1,8 @@
 // decide-cold: one caller thread decides a seeded population of Table 1
-// cases in process, parse included, with the containment cache cleared
-// once at the start. Each case is decided on its original schema and on
-// its paper simplification (the Table 1 validation pair).
+// cases in process, parse included, cycling through the population until
+// the window ends; the containment cache is cleared at the start of each
+// cycle. Each case is decided on its original schema and on its paper
+// simplification (the Table 1 validation pair).
 #include <unistd.h>
 
 #include <algorithm>
@@ -47,8 +48,17 @@ using rbda::ServiceSchema;
 
 // One fact budget for both engines (generic chase and linear chase). At
 // the library default of 500k facts single generated ID cases run for
-// minutes; at this budget the slowest case stays well under a second.
-constexpr uint64_t kFactBudget = 5000;
+// minutes. At 5000 facts a dozen cases of a 10-second window took 0.1-1 s
+// each and 44% of the time between them, so the figures hinged on how many
+// of them a window reached and on the memory traffic of their chases; at
+// this budget the slowest cases take tens of milliseconds and all cases
+// over 10 ms take about 30% of the time.
+constexpr uint64_t kFactBudget = 1500;
+
+// Cases in the population. One cycle through it takes about 15 seconds at
+// the recorded baseline and holds a few hundred decides over 10 ms, so
+// the share of slow cases hardly depends on the seed.
+constexpr size_t kPopulation = 20000;
 
 constexpr const char* kFamilies[] = {"ids",    "bwids", "fds",
                                      "uidfds", "chain", "tgds"};
@@ -191,10 +201,12 @@ rbda::DecisionOptions BudgetedOptions() {
 // Everything one pass over the population measured.
 struct Pass {
   uint64_t decides = 0;
+  uint64_t cycles = 0;  // passes through the population begun
   uint64_t complete = 0;
   uint64_t failed = 0;  // errors and wrong verdicts
   uint64_t wrong = 0;   // wrong verdicts alone
-  double elapsed_s = 0;
+  double elapsed_s = 0;  // wall time of the pass
+  double cpu_s = 0;      // CPU time of the pass
   std::vector<double> latency_us;  // per decide, parse included
   // Per-layer figures, gathered from the decisions and the registry.
   double parse_us = 0;
@@ -214,14 +226,14 @@ rbda::StatusOr<rbda::Decision> ParseAndDecide(const std::string& text,
   static rbda::Distribution* containment =
       rbda::MetricsRegistry::Default().GetDistribution(
           "answerability.containment_us");
-  double t0 = NowUs();
+  double t0 = ThreadCpuUs();
   rbda::Universe u;
   rbda::StatusOr<rbda::ParsedDocument> doc = rbda::Status::Internal("unset");
   {
     ScopedSpan span("parse");
     doc = rbda::ParseDocument(text, &u);
   }
-  double t1 = NowUs();
+  double t1 = ThreadCpuUs();
   if (!doc.ok()) return doc.status();
   auto q = doc->queries.find("Q");
   if (q == doc->queries.end()) return rbda::Status::Internal("no query Q");
@@ -232,7 +244,7 @@ rbda::StatusOr<rbda::Decision> ParseAndDecide(const std::string& text,
     d = rbda::DecideMonotoneAnswerability(doc->schema, q->second,
                                           BudgetedOptions());
   }
-  double t2 = NowUs();
+  double t2 = ThreadCpuUs();
   double containment_us =
       static_cast<double>(containment->sum() - containment_before);
   ++pass->decides;
@@ -255,16 +267,19 @@ rbda::StatusOr<rbda::Decision> ParseAndDecide(const std::string& text,
   return d;
 }
 
-Pass RunPass(const std::vector<Case>& cases, double seconds,
-             bool* population_exhausted) {
+Pass RunPass(const std::vector<Case>& cases, double seconds) {
   Pass pass;
-  rbda::ClearContainmentCache();
   RegistryReading before = ReadLocalRegistry();
   uint64_t cap = BudgetedOptions().linear_depth_cap;
   double start = NowUs();
-  size_t i = 0;
-  for (; i < cases.size(); ++i) {
-    if (NowUs() - start >= seconds * 1e6) break;
+  double cpu_start = ThreadCpuUs();
+  for (size_t i = 0; NowUs() - start < seconds * 1e6;
+       i = (i + 1) % cases.size()) {
+    // Every cycle through the population starts cold.
+    if (i == 0) {
+      rbda::ClearContainmentCache();
+      ++pass.cycles;
+    }
     const Case& c = cases[i];
     ScopedSpan span("case");
     rbda::StatusOr<rbda::Decision> a =
@@ -305,13 +320,13 @@ Pass RunPass(const std::vector<Case>& cases, double seconds,
     }
   }
   pass.elapsed_s = (NowUs() - start) / 1e6;
-  *population_exhausted = i == cases.size();
+  pass.cpu_s = (ThreadCpuUs() - cpu_start) / 1e6;
   pass.registry = Delta(before, ReadLocalRegistry());
   return pass;
 }
 
 double PerOp(const Pass& p) {
-  return p.decides == 0 ? 0 : p.elapsed_s * 1e6 / p.decides;
+  return p.decides == 0 ? 0 : p.cpu_s * 1e6 / p.decides;
 }
 
 std::map<std::string, double> LayerValues(const Pass& p) {
@@ -332,35 +347,32 @@ std::map<std::string, double> LayerValues(const Pass& p) {
 }  // namespace
 
 int RunDecideCold(const Args& args, Result* out) {
-  // About 2.5 times the cases one pass gets through at the recorded
-  // baseline (two decides per case), so the window ends before the
-  // population does; if a faster engine runs out, the pass ends early and
-  // says so.
-  size_t n = static_cast<size_t>(args.seconds * 3000) + 1000;
   std::vector<Case> cases;
-  double setup_s = MedianSetupSeconds(3, [&] {
-    cases = MakePopulation(args.seed, n);
+  double setup_s = MedianSetupSeconds(5, [&] {
+    cases = MakePopulation(args.seed, kPopulation);
   });
 
-  bool exhausted = false;
+  // The traced invocation splits its window between an untraced and a
+  // traced pass, so that every invocation takes about --seconds.
+  double window_s = args.trace ? args.seconds / 2 : args.seconds;
   ResetPeakRss();
-  Pass pass = RunPass(cases, args.seconds, &exhausted);
-  if (exhausted) {
-    std::fprintf(stderr,
-                 "decide-cold: the population ran out after %.2f s of %.2f s\n",
-                 pass.elapsed_s, args.seconds);
-  }
+  Pass pass = RunPass(cases, window_s);
   std::vector<double> lat = pass.latency_us;
   double p50 = Quantile(&lat, 0.50);
   double p99 = Quantile(&lat, 0.99);
   double hits = pass.registry.Get("containment.cache.hits");
   double lookups = hits + pass.registry.Get("containment.cache.misses");
   std::printf(
-      "decide-cold: %llu decides in %.3f s (fact budget %llu); "
+      "decide-cold: %llu decides in %.3f s, %.3f s of CPU time (fact "
+      "budget %llu, %llu "
+      "cycles begun through %zu cases); "
       "p50 %.1f us, p99 %.1f us over %zu samples; complete %llu; "
       "failed %llu; containment cache hits %.0f of %.0f lookups\n",
       static_cast<unsigned long long>(pass.decides), pass.elapsed_s,
-      static_cast<unsigned long long>(kFactBudget), p50, p99, lat.size(),
+      pass.cpu_s,
+      static_cast<unsigned long long>(kFactBudget),
+      static_cast<unsigned long long>(pass.cycles), cases.size(), p50, p99,
+      lat.size(),
       static_cast<unsigned long long>(pass.complete),
       static_cast<unsigned long long>(pass.failed), hits, lookups);
 
@@ -369,7 +381,7 @@ int RunDecideCold(const Args& args, Result* out) {
   out->correct = pass.wrong == 0;
   if (!args.trace) {
     out->Add("setup_s", setup_s, "s");
-    out->Add("throughput_per_s", Ratio(pass.decides, pass.elapsed_s), "1/s");
+    out->Add("throughput_per_s", Ratio(pass.decides, pass.cpu_s), "1/s");
     out->Add("latency_p50_us", p50, "us");
     out->Add("latency_p99_us", p99, "us");
     out->Add("decided_share", Ratio(pass.complete, pass.decides), "ratio");
@@ -379,7 +391,7 @@ int RunDecideCold(const Args& args, Result* out) {
 
   // Traced pass over the same population, cold again, with spans on.
   SpanRecorder::Get().Enable(true);
-  Pass traced = RunPass(cases, args.seconds, &exhausted);
+  Pass traced = RunPass(cases, window_s);
   SpanRecorder::Get().Enable(false);
   out->failed += traced.failed;
   out->correct = out->correct && traced.wrong == 0;

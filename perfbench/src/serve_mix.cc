@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -56,12 +57,12 @@ namespace {
 // kBurstWarm warm decides, kBurstCold cold decides, the rest run ops.
 // Bursts, rather than single arrivals, let the daemon's threads wake once
 // per burst.
-constexpr double kLoadRate = 1000;
+constexpr double kLoadRate = 500;
 constexpr int kBurst = 5;
 constexpr int kBurstWarm = 3;
 constexpr int kBurstCold = 1;
 // The ladder: multiples of the load point, each step kStepSeconds long.
-constexpr double kLadder[] = {1, 1.5, 2, 3, 4};
+constexpr double kLadder[] = {1, 2, 3, 4, 6};
 constexpr double kStepSeconds = 2;
 // A ladder step meets the limit when its p99 is at most this.
 constexpr double kLatencyLimitUs = 20000;
@@ -70,6 +71,9 @@ constexpr double kLatencyLimitUs = 20000;
 // scheduled load.
 constexpr double kLatenessBoundUs = kLatencyLimitUs;
 constexpr int kConnections = 2;
+// Latency quantiles are taken per window of this length, 1500 requests at
+// the load point, so that each window's p99 has 15 samples beyond it.
+constexpr double kWindowUs = 3e6;
 
 enum Kind { kWarm = 0, kCold = 1, kRun = 2 };
 constexpr const char* kKindNames[] = {"warm", "cold", "run"};
@@ -288,6 +292,74 @@ std::string JsonString(const std::string& s) {
   return out + "\"";
 }
 
+// ---- CPU placement ----
+
+// Confines the calling thread (and what it later forks or spawns) to `cpu`.
+void PinTo(int cpu) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  sched_setaffinity(0, sizeof(one), &one);
+}
+
+// The client and the daemon each get a CPU of their own: the last two the
+// process may use (one CPU serves both when only one is allowed). Sharing
+// one CPU, the client's threads waited behind the daemon's workers and the
+// generator ran 3-4 ms late (p99).
+struct Placement {
+  int client_cpu = -1;
+  int daemon_cpu = -1;
+};
+
+Placement ChooseCpus() {
+  Placement p;
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return p;
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0; --cpu) {
+    if (!CPU_ISSET(cpu, &allowed)) continue;
+    if (p.client_cpu < 0) {
+      p.client_cpu = cpu;
+    } else {
+      p.daemon_cpu = cpu;
+      break;
+    }
+  }
+  if (p.daemon_cpu < 0) p.daemon_cpu = p.client_cpu;
+  return p;
+}
+
+// Keeps a CPU from going idle. On a virtual machine an idle virtual CPU is
+// handed back to the host, and waking it again for the next request or
+// response takes a variable time of up to milliseconds: that wait, not
+// the program, then sets the latency. The keeper spins at SCHED_IDLE
+// priority, so any other thread that wakes on the CPU takes it at once.
+class IdleKeeper {
+ public:
+  explicit IdleKeeper(int cpu) {
+    if (cpu < 0) return;
+    thread_ = std::thread([this, cpu] {
+      PinTo(cpu);
+      sched_param param{};
+      // At normal priority the keeper would take CPU time from the threads
+      // it is meant to serve, so it stops when SCHED_IDLE is refused.
+      if (sched_setscheduler(0, SCHED_IDLE, &param) != 0) return;
+      while (!stop_.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  ~IdleKeeper() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+  IdleKeeper(const IdleKeeper&) = delete;
+  IdleKeeper& operator=(const IdleKeeper&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
 // ---- The daemon ----
 
 class Daemon {
@@ -297,12 +369,14 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  bool Start(const std::string& binary) {
+  // Starts the daemon confined to `cpu` (any CPU when negative).
+  bool Start(const std::string& binary, int cpu) {
     int fds[2];
     if (pipe(fds) != 0) return false;
     pid_ = fork();
     if (pid_ < 0) return false;
     if (pid_ == 0) {
+      if (cpu >= 0) PinTo(cpu);
       dup2(fds[1], STDOUT_FILENO);
       close(fds[0]);
       close(fds[1]);
@@ -329,12 +403,12 @@ class Daemon {
       while (ReadStdoutLine(&line, 10000)) {
       }
       int status = 0;
-      for (int i = 0; i < 1000; ++i) {
+      for (int i = 0; i < 10000; ++i) {
         if (waitpid(pid_, &status, WNOHANG) == pid_) {
           pid_ = -1;
           break;
         }
-        usleep(10000);
+        usleep(1000);
       }
       if (pid_ > 0) {
         kill(pid_, SIGKILL);
@@ -644,7 +718,7 @@ struct PhaseStats {
   uint64_t cold_sent = 0;
   std::vector<double> latency_us;  // from due time, every request
   std::vector<double> by_kind_us[3];
-  // Medians over the phase's one-second windows (by due time) of each
+  // Medians over the phase's kWindowUs windows (by due time) of each
   // window's p50 and p99: a stall of the whole machine moves the windows
   // it falls in, not the figures.
   double window_p50_us = 0;
@@ -684,7 +758,7 @@ PhaseStats Summarize(const Phase& phase) {
   std::map<int, std::vector<double>> windows;
   for (const Req& r : phase.reqs) {
     if (r.answered) {
-      windows[static_cast<int>(r.due_us / 1e6)].push_back(
+      windows[static_cast<int>(r.due_us / kWindowUs)].push_back(
           r.done_us - (phase.start_us + r.due_us));
     }
   }
@@ -825,10 +899,10 @@ bool Reconnect(uint16_t port, std::vector<std::unique_ptr<Conn>>* conns) {
 }
 
 // Starts a daemon, connects, and loads every document.
-bool StartAndLoad(const std::string& binary, const Setup& s, Daemon* daemon,
-                  std::vector<std::unique_ptr<Conn>>* conns) {
+bool StartAndLoad(const std::string& binary, int cpu, const Setup& s,
+                  Daemon* daemon, std::vector<std::unique_ptr<Conn>>* conns) {
   conns->clear();
-  if (!daemon->Start(binary)) {
+  if (!daemon->Start(binary, cpu)) {
     std::fprintf(stderr, "serve-mix: cannot start %s\n", binary.c_str());
     return false;
   }
@@ -898,12 +972,12 @@ void PrintLoadPoint(const char* label, const LoadPoint& lp) {
   double p99 = Quantile(&all, 0.99);
   std::printf(
       "serve-mix %s: %llu requests at %.0f/s; p50 %.1f us, p99 %.1f us over "
-      "%zu samples (medians of per-second p50s and p99s %.1f us and %.1f "
-      "us); failed %llu; cold "
-      "decides %llu, containment-cache "
+      "%zu samples (medians of %.0f-second windows' p50s and p99s %.1f us "
+      "and %.1f us); failed %llu; cold decides %llu, containment-cache "
       "misses +%llu, decision-cache misses +%llu; generator late p99 %.1f us\n",
       label, static_cast<unsigned long long>(lp.stats.attempted), kLoadRate,
-      p50, p99, all.size(), lp.stats.window_p50_us, lp.stats.window_p99_us,
+      p50, p99, all.size(), kWindowUs / 1e6, lp.stats.window_p50_us,
+      lp.stats.window_p99_us,
       static_cast<unsigned long long>(lp.stats.failed),
       static_cast<unsigned long long>(lp.stats.cold_sent),
       static_cast<unsigned long long>(lp.containment_misses),
@@ -916,45 +990,34 @@ void PrintLoadPoint(const char* label, const LoadPoint& lp) {
   }
 }
 
-// Confines this process, and so the daemon it forks, to one CPU. On a
-// small virtual machine a wake-up sent to another, idle virtual CPU takes
-// a variable and often long time, which made the daemon's latency differ
-// by 30-60% between identical runs; on one CPU every hand-off between the
-// client, the daemon's I/O thread and its two workers is a local context
-// switch.
-void PinToOneCpu() {
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
-  for (int cpu = CPU_SETSIZE - 1; cpu >= 0; --cpu) {
-    if (CPU_ISSET(cpu, &allowed)) {
-      cpu_set_t one;
-      CPU_ZERO(&one);
-      CPU_SET(cpu, &one);
-      sched_setaffinity(0, sizeof(one), &one);
-      return;
-    }
-  }
-}
-
 }  // namespace
 
 int RunServeMix(const Args& args, Result* out) {
-  PinToOneCpu();
+  // The client's threads run on one CPU and the daemon's on another, and
+  // a keeper fills each CPU's idle time.
+  Placement cpus = ChooseCpus();
+  if (cpus.client_cpu >= 0) PinTo(cpus.client_cpu);
+  IdleKeeper client_keeper(cpus.client_cpu);
+  IdleKeeper daemon_keeper(
+      cpus.daemon_cpu != cpus.client_cpu ? cpus.daemon_cpu : -1);
   std::string binary = SelfBinaryDir() + "/rbda_serve";
   Setup s = MakeSetup(args.seed);
   Daemon daemon;
   std::vector<std::unique_ptr<Conn>> conns;
+  // Median of 21 starts; stopping the previous daemon is not timed.
   bool ok = true;
-  int repeat = 0;
-  double setup_s = MedianSetupSeconds(11, [&] {
-    if (repeat++ > 0) {
+  std::vector<double> starts;
+  for (int i = 0; i < 21 && ok; ++i) {
+    if (i > 0) {
       conns.clear();
       daemon.Stop();
     }
-    ok = ok && StartAndLoad(binary, s, &daemon, &conns);
-  });
+    double t0 = NowUs();
+    ok = StartAndLoad(binary, cpus.daemon_cpu, s, &daemon, &conns);
+    starts.push_back((NowUs() - t0) / 1e6);
+  }
   if (!ok) return 1;
+  double setup_s = Median(starts);
 
   // Prime every warm key so the load point's warm decides hit the
   // daemon's decision cache.
@@ -973,8 +1036,12 @@ int RunServeMix(const Args& args, Result* out) {
   ColdQueries cold(args.seed);
   Checker checker{s, {}, {}};
 
+  // The traced invocation splits its window between the untraced load
+  // point, the traced one and the ladder, so that every invocation takes
+  // about --seconds.
+  double window_s = args.trace ? std::max(1.0, args.seconds / 3) : args.seconds;
   LoadPoint lp;
-  if (!RunLoadPoint(conns, s, args.seconds, &rng, &cold, false, &lp)) return 1;
+  if (!RunLoadPoint(conns, s, window_s, &rng, &cold, false, &lp)) return 1;
   PrintLoadPoint("load point", lp);
   uint64_t failed = LoadPointFailures(lp, &out->correct);
   uint64_t mismatches = checker.Check(lp.phase);
@@ -1001,7 +1068,7 @@ int RunServeMix(const Args& args, Result* out) {
   // sampled), then the rate ladder.
   SpanRecorder::Get().Enable(true);
   LoadPoint traced;
-  if (!RunLoadPoint(conns, s, args.seconds, &rng, &cold, true, &traced)) {
+  if (!RunLoadPoint(conns, s, window_s, &rng, &cold, true, &traced)) {
     return 1;
   }
   PrintLoadPoint("traced load point", traced);
