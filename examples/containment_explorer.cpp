@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
                     ? "NOT CONTAINED (not answerable)"
                     : "UNKNOWN (budget)";
       std::printf("naive chase: %s after %llu rounds, %zu facts\n\n", verdict,
-                  static_cast<unsigned long long>(outcome.chase.rounds),
-                  outcome.chase.instance.NumFacts());
+                  static_cast<unsigned long long>(outcome.rounds),
+                  static_cast<size_t>(outcome.facts));
     }
 
     // ---- The Table 1 dispatcher. ----

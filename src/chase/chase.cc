@@ -114,12 +114,11 @@ class Engine {
     }
   }
 
-  ChaseResult Run(const std::vector<std::vector<Atom>>* goals,
-                  bool* goal_reached) {
+  ChaseResult Run(const std::vector<Atom>* goal, bool* goal_reached) {
     Metrics().runs->Increment();
     ScopedTimer run_timer(Metrics().run_us);
     TraceSpan span("chase.run");
-    ChaseResult result = RunImpl(goals, goal_reached);
+    ChaseResult result = RunImpl(goal, goal_reached);
     Metrics().rounds_per_run->Record(result.rounds);
     if (result.status == ChaseStatus::kFdConflict) {
       Metrics().fd_conflicts->Increment();
@@ -144,29 +143,22 @@ class Engine {
   }
 
  private:
-  ChaseResult RunImpl(const std::vector<std::vector<Atom>>* goals,
-                      bool* goal_reached) {
+  ChaseResult RunImpl(const std::vector<Atom>* goal, bool* goal_reached) {
     if (goal_reached) *goal_reached = false;
     // Delta-restricted when `delta` is non-null: the pre-delta state was
     // already goal-checked, so only homomorphisms touching the delta can
-    // newly satisfy a goal.
+    // newly satisfy the goal.
     auto goal_holds = [&](const Instance::DeltaMark* delta) {
-      if (goals == nullptr) return false;
-      for (const std::vector<Atom>& goal : *goals) {
-        Metrics().hom_checks->IncrementCell();
-        ++result_.goal_checks;
-        bool found =
-            delta != nullptr
-                ? FindHomomorphismDelta(goal, result_.instance, nullptr,
-                                        *delta)
-                      .has_value()
-                : FindHomomorphism(goal, result_.instance).has_value();
-        if (found) {
-          Metrics().hom_checks_ok->IncrementCell();
-          return true;
-        }
-      }
-      return false;
+      if (goal == nullptr) return false;
+      Metrics().hom_checks->IncrementCell();
+      ++result_.goal_checks;
+      bool found =
+          delta != nullptr
+              ? FindHomomorphismDelta(*goal, result_.instance, nullptr, *delta)
+                    .has_value()
+              : FindHomomorphism(*goal, result_.instance).has_value();
+      if (found) Metrics().hom_checks_ok->IncrementCell();
+      return found;
     };
 
     if (!ApplyFdsToFixpoint()) {
@@ -538,18 +530,8 @@ ChaseResult RunChaseUntil(
     const std::vector<Atom>& goal_atoms, Universe* universe,
     bool* goal_reached, const ChaseOptions& options,
     const std::vector<CardinalityRule>& cardinality_rules) {
-  std::vector<std::vector<Atom>> goals{goal_atoms};
   Engine engine(start, constraints, universe, options, cardinality_rules);
-  return engine.Run(&goals, goal_reached);
-}
-
-ChaseResult RunChaseUntilAny(
-    const Instance& start, const ConstraintSet& constraints,
-    const std::vector<std::vector<Atom>>& goals, Universe* universe,
-    bool* goal_reached, const ChaseOptions& options,
-    const std::vector<CardinalityRule>& cardinality_rules) {
-  Engine engine(start, constraints, universe, options, cardinality_rules);
-  return engine.Run(&goals, goal_reached);
+  return engine.Run(&goal_atoms, goal_reached);
 }
 
 }  // namespace rbda

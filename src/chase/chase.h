@@ -18,7 +18,7 @@
 //     the fact vectors (invalidating delta ranges) and remaps terms, so
 //     activeness conclusions from before the merge no longer transfer;
 //   * when ChaseOptions::use_semi_naive is off (ablation/testing).
-// Goal checks in RunChaseUntil* are delta-restricted under the same rules.
+// Goal checks in RunChaseUntil are delta-restricted under the same rules.
 //
 // The engine also supports the cardinality-transfer rules produced by the
 // *naive* AMonDet reduction of §3 — the "∃≥j" accessibility axioms for
@@ -117,7 +117,7 @@ struct ChaseResult {
   uint64_t rounds = 0;
   uint64_t tgd_steps = 0;
   uint64_t egd_merges = 0;
-  uint64_t goal_checks = 0;  // goal homomorphism checks (RunChaseUntil*)
+  uint64_t goal_checks = 0;  // goal homomorphism checks (RunChaseUntil)
   std::vector<ChaseStep> trace;  // only if options.record_trace
 };
 
@@ -136,14 +136,6 @@ ChaseResult RunChaseUntil(const Instance& start,
                           Universe* universe, bool* goal_reached,
                           const ChaseOptions& options = {},
                           const std::vector<CardinalityRule>& cardinality_rules = {});
-
-/// Disjunctive-goal variant: stops as soon as ANY of the goals holds
-/// (UCQ right-hand sides).
-ChaseResult RunChaseUntilAny(
-    const Instance& start, const ConstraintSet& constraints,
-    const std::vector<std::vector<Atom>>& goals, Universe* universe,
-    bool* goal_reached, const ChaseOptions& options = {},
-    const std::vector<CardinalityRule>& cardinality_rules = {});
 
 }  // namespace rbda
 

@@ -1,8 +1,6 @@
 #include "chase/containment.h"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
 #include <mutex>
 #include <unordered_map>
 
@@ -44,6 +42,7 @@ struct ContainmentMetrics {
   Counter* chase_rounds;
   Counter* chase_triggers_tgd;
   Counter* chase_facts_created;
+  Counter* chase_exhausted_rounds;
   Counter* chase_exhausted_facts;
 };
 
@@ -70,20 +69,43 @@ const ContainmentMetrics& Metrics() {
         r.GetCounter("chase.rounds"),
         r.GetCounter("chase.triggers.tgd"),
         r.GetCounter("chase.facts_created"),
+        r.GetCounter("chase.exhausted.rounds"),
         r.GetCounter("chase.exhausted.facts"),
     };
   }();
   return m;
 }
 
+// The saturate stage that answers a problem no earlier stage settled.
+enum class Engine : uint64_t {
+  kGeneric = 0,  // budgeted restricted chase (RunChaseUntil)
+  kLinear = 1,   // depth-bounded Johnson–Klug tree chase
+};
+
+// One containment problem as the pipeline sees it. The generic engine
+// chases `sigma` (whose TGDs are `tgds`) together with `rules`; the linear
+// engine fires `tgds` alone, and its `sigma` and `rules` are empty.
+struct Problem {
+  Engine engine;
+  const Instance& start;
+  const std::vector<Atom>& goal;
+  const ConstraintSet& sigma;
+  const std::vector<Tgd>& tgds;
+  const std::vector<CardinalityRule>& rules;
+  uint64_t max_rounds;  // chase rounds, or the linear depth bound
+  uint64_t max_facts;
+  Universe* universe;
+  const ChaseOptions& options;
+};
+
 // ---- Containment memoization (see the header comment). ----
 //
-// A key is a canonical word sequence: the start instance's facts sorted
-// (its in-memory order is hash-map dependent), then the goal, constraints,
-// and engine options in caller order with length prefixes so adjacent
-// sections cannot alias. Variables and nulls are renamed to dense ids by
-// first occurrence in that encoding order, so repeated Decide calls —
-// whose reductions mint FreshVariable/FreshNull terms at ever-increasing
+// A key is a canonical word sequence: the engine tag, the start instance's
+// facts sorted (its in-memory order is hash-map dependent), then the goal,
+// constraints, and budgets in caller order with length prefixes so
+// adjacent sections cannot alias. Variables and nulls are renamed to dense
+// ids by first occurrence in that encoding order, so repeated Decide calls
+// — whose reductions mint FreshVariable/FreshNull terms at ever-increasing
 // ids but with identical structure — canonicalize to the same key.
 // (Constants stay rigid: their identity links the instance to the goal and
 // to interned accessible-constant facts.) Full keys are compared on
@@ -148,74 +170,46 @@ void AppendInstance(const Instance& instance, TermCanonicalizer* canon,
   }
 }
 
-void AppendSigma(const ConstraintSet& sigma, TermCanonicalizer* canon,
-                 CacheKey* key) {
-  key->push_back(sigma.tgds.size());
-  for (const Tgd& tgd : sigma.tgds) {
-    AppendAtoms(tgd.body(), canon, key);
-    AppendAtoms(tgd.head(), canon, key);
-  }
-  key->push_back(sigma.fds.size());
-  for (const Fd& fd : sigma.fds) {
-    key->push_back(fd.relation);
-    key->push_back(fd.determiners.size());
-    for (uint32_t p : fd.determiners) key->push_back(p);
-    key->push_back(fd.determined);
-  }
-}
-
-CacheKey MakeGenericKey(const Instance& start, const std::vector<Atom>& goal,
-                        const ConstraintSet& sigma,
-                        const ChaseOptions& options,
-                        const std::vector<CardinalityRule>& rules) {
+// The engine tag plus exactly the inputs the engine's saturate stage
+// reads.
+CacheKey MakeKey(const Problem& p) {
   CacheKey key;
   TermCanonicalizer canon;
-  key.push_back(0);  // engine tag: generic
-  AppendInstance(start, &canon, &key);
-  AppendAtoms(goal, &canon, &key);
-  AppendSigma(sigma, &canon, &key);
-  key.push_back(options.max_rounds);
-  key.push_back(options.max_facts);
-  // Pruning is derived from (goal, Σ, rules) — all already in the key —
-  // but the MODE must still be keyed: a pruned run can be definite where
-  // the unpruned run is kUnknown, so the two must not alias.
-  key.push_back((options.record_trace ? 1u : 0u) |
-                (options.use_semi_naive ? 2u : 0u) |
-                (options.prune_to_goal ? 4u : 0u) |
-                (options.inject_overprune_for_testing ? 8u : 0u));
-  key.push_back(rules.size());
-  for (const CardinalityRule& rule : rules) {
+  key.push_back(static_cast<uint64_t>(p.engine));
+  AppendInstance(p.start, &canon, &key);
+  AppendAtoms(p.goal, &canon, &key);
+  key.push_back(p.tgds.size());
+  for (const Tgd& tgd : p.tgds) {
+    AppendAtoms(tgd.body(), &canon, &key);
+    AppendAtoms(tgd.head(), &canon, &key);
+  }
+  key.push_back(p.sigma.fds.size());
+  for (const Fd& fd : p.sigma.fds) {
+    key.push_back(fd.relation);
+    key.push_back(fd.determiners.size());
+    for (uint32_t pos : fd.determiners) key.push_back(pos);
+    key.push_back(fd.determined);
+  }
+  key.push_back(p.rules.size());
+  for (const CardinalityRule& rule : p.rules) {
     key.push_back(rule.source_rel);
     key.push_back(rule.input_positions.size());
-    for (uint32_t p : rule.input_positions) key.push_back(p);
+    for (uint32_t pos : rule.input_positions) key.push_back(pos);
     key.push_back(rule.target_rel);
     key.push_back(rule.bound);
     key.push_back(rule.accessible_rel);
     key.push_back(rule.require_accessible ? 1 : 0);
   }
-  return key;
-}
-
-CacheKey MakeLinearKey(const Instance& start, const std::vector<Atom>& goal,
-                       const std::vector<Tgd>& linear_tgds,
-                       uint64_t max_depth, uint64_t max_facts,
-                       const ChaseOptions& options) {
-  CacheKey key;
-  TermCanonicalizer canon;
-  key.push_back(1);  // engine tag: linear
-  AppendInstance(start, &canon, &key);
-  AppendAtoms(goal, &canon, &key);
-  key.push_back(linear_tgds.size());
-  for (const Tgd& tgd : linear_tgds) {
-    AppendAtoms(tgd.body(), &canon, &key);
-    AppendAtoms(tgd.head(), &canon, &key);
-  }
-  key.push_back(max_depth);
-  key.push_back(max_facts);
-  // Keyed for the same reason as the generic engine: pruned runs can be
-  // strictly more definite than unpruned ones.
-  key.push_back((options.prune_to_goal ? 1u : 0u) |
-                (options.inject_overprune_for_testing ? 2u : 0u));
+  key.push_back(p.max_rounds);
+  key.push_back(p.max_facts);
+  // Pruning is derived from (goal, Σ, rules) — all already in the key —
+  // but the MODE must still be keyed: a pruned run can be definite where
+  // the unpruned run is kUnknown, so the two must not alias. Only the
+  // generic engine enumerates triggers semi-naively.
+  const ChaseOptions& o = p.options;
+  key.push_back((o.prune_to_goal ? 1u : 0u) |
+                (o.inject_overprune_for_testing ? 2u : 0u) |
+                (p.engine == Engine::kGeneric && o.use_semi_naive ? 4u : 0u));
   return key;
 }
 
@@ -224,8 +218,8 @@ CacheKey MakeLinearKey(const Instance& start, const std::vector<Atom>& goal,
 // serialize on one mutex. Each shard is an independent mutex-guarded map
 // with its own epoch eviction and its own hit/miss/eviction counters
 // ("containment.cache.shardNN.*"); the aggregate "containment.cache.*"
-// counters keep their historical meaning and are incremented at the call
-// sites, so existing dashboards and tests see identical totals.
+// counters keep their historical meaning and are incremented by the
+// pipeline, so existing dashboards and tests see identical totals.
 class ContainmentCache {
  public:
   static constexpr size_t kShards = 8;
@@ -249,9 +243,6 @@ class ContainmentCache {
   }
 
   void Store(const CacheKey& key, const ContainmentOutcome& outcome) {
-    // Entries hold the final chase instance; keep the biggest ones out so
-    // the cache stays a cache, not a leak.
-    if (outcome.chase.instance.NumFacts() > kMaxCachedFacts) return;
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.map.size() >= kMaxEntriesPerShard) {
@@ -283,7 +274,6 @@ class ContainmentCache {
  private:
   // Same total capacity as the pre-sharded cache (256 entries).
   static constexpr size_t kMaxEntriesPerShard = 32;
-  static constexpr size_t kMaxCachedFacts = 50000;
 
   struct Shard {
     std::mutex mu;
@@ -331,6 +321,281 @@ const char* VerdictName(ContainmentVerdict v) {
   return "?";
 }
 
+// Generic saturate stage: the budgeted restricted chase, stopping as soon
+// as the goal holds.
+ContainmentOutcome SaturateGeneric(const Problem& p,
+                                   const ChaseOptions& options) {
+  bool goal_reached = false;
+  ChaseResult chase = RunChaseUntil(p.start, p.sigma, p.goal, p.universe,
+                                    &goal_reached, options, p.rules);
+  ContainmentOutcome out;
+  // An FD conflict means no instance satisfies Q together with Σ, so the
+  // containment holds vacuously.
+  if (goal_reached || chase.status == ChaseStatus::kFdConflict) {
+    out.verdict = ContainmentVerdict::kContained;
+  } else if (chase.status == ChaseStatus::kCompleted) {
+    out.verdict = ContainmentVerdict::kNotContained;
+  }
+  out.status = chase.status;
+  out.exhausted = chase.exhausted;
+  out.rounds = chase.rounds;
+  out.facts = chase.instance.NumFacts();
+  out.tgd_steps = chase.tgd_steps;
+  out.goal_checks = chase.goal_checks;
+  return out;
+}
+
+// Linear saturate stage: the tree chase, breadth-first by depth level up
+// to `max_rounds` levels. `frontier` holds the facts created at the
+// current depth; triggers are fired on frontier facts only (each linear
+// TGD has a single body atom, so every trigger is rooted at one fact).
+// A row-id-cap overflow anywhere degrades the check to kUnknown (a
+// budget-style outcome) instead of aborting the process — the daemon
+// serves the request as incomplete and stays up.
+ContainmentOutcome SaturateLinear(const Problem& p,
+                                  const ChaseOptions& options) {
+  std::vector<bool> tgd_enabled;  // empty = fire everything
+  if (options.relevant_relations != nullptr) {
+    tgd_enabled.reserve(p.tgds.size());
+    for (const Tgd& tgd : p.tgds) {
+      tgd_enabled.push_back(TgdIsRelevant(tgd, *options.relevant_relations));
+    }
+  }
+
+  ContainmentOutcome out;
+  Instance inst;
+  bool row_ids_exhausted = false;
+  std::vector<Fact> frontier;
+  p.start.ForEachFactUntil([&](FactRef f) {
+    bool inserted = false;
+    if (!inst.TryAddRow(f.relation(), f.args(), &inserted).ok()) {
+      row_ids_exhausted = true;
+      return false;
+    }
+    if (inserted) frontier.push_back(Fact(f));
+    return true;
+  });
+
+  // Delta-restricted when `delta` is non-null: the pre-delta state was
+  // already goal-checked, and the linear instance is append-only (no EGD
+  // rebuilds), so marks stay valid and only homomorphisms touching the
+  // depth's new facts can newly satisfy the goal.
+  auto goal_holds = [&](const Instance::DeltaMark* delta) {
+    Metrics().hom_checks->IncrementCell();
+    ++out.goal_checks;
+    bool found =
+        delta != nullptr
+            ? FindHomomorphismDelta(p.goal, inst, nullptr, *delta).has_value()
+            : FindHomomorphism(p.goal, inst).has_value();
+    if (found) Metrics().hom_checks_ok->IncrementCell();
+    return found;
+  };
+
+  auto stop = [&](ContainmentVerdict verdict, ChaseStatus status,
+                  ChaseExhausted exhausted) {
+    out.verdict = verdict;
+    out.status = status;
+    out.exhausted = exhausted;
+    out.facts = inst.NumFacts();
+    return out;
+  };
+
+  if (row_ids_exhausted) {
+    return stop(ContainmentVerdict::kUnknown, ChaseStatus::kBudgetExceeded,
+                ChaseExhausted::kFacts);
+  }
+  if (goal_holds(nullptr)) {
+    return stop(ContainmentVerdict::kContained, ChaseStatus::kCompleted,
+                ChaseExhausted::kNone);
+  }
+
+  for (uint64_t depth = 1; depth <= p.max_rounds && !frontier.empty();
+       ++depth) {
+    // Everything below the mark was goal-checked after the previous depth
+    // (or initially), so the post-depth check can be delta-restricted.
+    Instance::DeltaMark depth_mark = inst.Mark();
+    std::vector<Fact> next;
+    for (const Fact& fact : frontier) {
+      if (row_ids_exhausted) break;
+      Instance just_fact;
+      just_fact.AddFact(fact);
+      for (size_t ti = 0; ti < p.tgds.size(); ++ti) {
+        if (!tgd_enabled.empty() && !tgd_enabled[ti]) continue;  // pruned
+        const Tgd& tgd = p.tgds[ti];
+        if (row_ids_exhausted) break;
+        if (tgd.body()[0].relation != fact.relation) continue;
+        // All body matches of this single-atom body against `fact`.
+        ForEachHomomorphism(
+            tgd.body(), just_fact, nullptr, [&](const Substitution& sub) {
+              Substitution seed;
+              for (Term x : tgd.ExportedVariables()) {
+                seed.emplace(x, ApplyToTerm(sub, x));
+              }
+              Metrics().activeness_checks->IncrementCell();
+              if (FindHomomorphism(tgd.head(), inst, &seed).has_value()) {
+                return true;  // not active
+              }
+              Substitution extension = seed;
+              for (Term y : tgd.ExistentialVariables()) {
+                extension.emplace(y, p.universe->FreshNull());
+              }
+              uint64_t created_count = 0;
+              for (const Atom& h : tgd.head()) {
+                Fact created = ApplyToAtom(extension, h);
+                bool inserted = false;
+                if (!inst.TryAddFact(created, &inserted).ok()) {
+                  row_ids_exhausted = true;
+                  return false;  // stop enumerating; degrade below
+                }
+                if (inserted) {
+                  next.push_back(created);
+                  ++created_count;
+                }
+              }
+              ++out.tgd_steps;
+              Metrics().chase_triggers_tgd->IncrementCell();
+              Metrics().chase_facts_created->IncrementCell(created_count);
+              return true;
+            });
+      }
+    }
+    out.rounds = depth;
+    Metrics().chase_rounds->IncrementCell();
+    if (TraceEnabled()) {
+      TraceEventRecord("chase.round.linear",
+                       {{"depth", static_cast<int64_t>(depth)},
+                        {"frontier", static_cast<int64_t>(next.size())},
+                        {"facts", static_cast<int64_t>(inst.NumFacts())}});
+    }
+    if (goal_holds(inst.MarkValid(depth_mark) ? &depth_mark : nullptr)) {
+      return stop(ContainmentVerdict::kContained, ChaseStatus::kCompleted,
+                  ChaseExhausted::kNone);
+    }
+    if (row_ids_exhausted || inst.NumFacts() > p.max_facts) {
+      Metrics().chase_exhausted_facts->IncrementCell();
+      return stop(ContainmentVerdict::kUnknown, ChaseStatus::kBudgetExceeded,
+                  ChaseExhausted::kFacts);
+    }
+    frontier = std::move(next);
+  }
+
+  // An empty frontier means the chase terminated: its result is a model
+  // in which the goal fails, so the answer is exact. Otherwise the depth
+  // bound stopped it with facts still to expand. The goal has no match of
+  // depth <= max_depth, which is a complete refutation only when max_depth
+  // is the Johnson–Klug bound for this problem — a fact the caller knows
+  // and the engine does not.
+  if (frontier.empty()) {
+    return stop(ContainmentVerdict::kNotContained, ChaseStatus::kCompleted,
+                ChaseExhausted::kNone);
+  }
+  Metrics().chase_exhausted_rounds->IncrementCell();
+  return stop(ContainmentVerdict::kNotContained, ChaseStatus::kBudgetExceeded,
+              ChaseExhausted::kRounds);
+}
+
+// The one containment pipeline: key → cache lookup → relevance →
+// signature prefilter → countermodel → saturate → verdict and record.
+// Only the saturate stage depends on the engine.
+ContainmentOutcome RunPipeline(const Problem& p) {
+  const ChaseOptions& options = p.options;
+  const bool linear = p.engine == Engine::kLinear;
+  Metrics().checks->Increment();
+  if (linear) Metrics().checks_linear->Increment();
+  ScopedTimer timer(Metrics().check_us);
+  TraceSpan span(linear ? "containment.check.linear" : "containment.check");
+
+  CacheKey key;
+  if (options.use_containment_cache) {
+    key = MakeKey(p);
+    ContainmentOutcome cached;
+    if (ContainmentCache::Get().Lookup(key, &cached)) {
+      Metrics().cache_hits->Increment();
+      uint64_t elapsed = timer.ElapsedMicros();
+      Metrics().check_hit_us->Record(elapsed);
+      // A hit did no chase work: attribute only the lookup cost.
+      QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
+          "", GoalRelationName(p.goal, p.universe), elapsed, 0, 0, 0, 0,
+          true});
+      if (span.active()) {
+        span.AddStr("cache", "hit");
+        span.AddStr("verdict", VerdictName(cached.verdict));
+      }
+      return cached;
+    }
+    Metrics().cache_misses->Increment();
+  }
+
+  // Goal-directed mode (chase/relevance.h): restrict firing to the
+  // constraints backward-reachable from the goal, then try two refutations
+  // before chasing at all — the signature prefilter, and when the
+  // signature abstraction is too coarse, a finite witness-reuse
+  // countermodel of the FULL constraint set (no relevance pruning, so its
+  // kNotContained stays sound even under an overprune injection). Both
+  // are only sound when no FD can conflict — a conflict would make the
+  // containment vacuously kContained, which neither can see. The linear
+  // engine has no FDs, so both always apply there.
+  RelevanceResult relevance;
+  ChaseOptions chase_options = options;
+  chase_options.record_trace = false;  // an outcome carries no trace
+  uint64_t pruned_constraints = 0;
+  bool prefiltered = false;
+  bool countermodeled = false;
+  if (options.prune_to_goal) {
+    relevance = ComputeRelevance(
+        {p.goal}, p.tgds, p.sigma.fds, p.rules,
+        p.universe != nullptr ? p.universe->NumRelations() : 0,
+        options.inject_overprune_for_testing);
+    chase_options.relevant_relations = &relevance.relevant_relations;
+    pruned_constraints = relevance.PrunedConstraints();
+    Metrics().prune_checks->Increment();
+    if (pruned_constraints > 0) {
+      Metrics().prune_constraints->Increment(pruned_constraints);
+    }
+    if (p.sigma.fds.empty()) {
+      prefiltered = !SignatureCanReachGoal(p.start, p.goal, p.tgds, p.rules,
+                                           relevance.relevant_relations);
+      countermodeled = !prefiltered &&
+                       CounterModelRefutesGoals(p.start, {p.goal}, p.tgds,
+                                                p.rules, p.universe);
+    }
+  }
+
+  ContainmentOutcome out;
+  if (prefiltered || countermodeled) {
+    (prefiltered ? Metrics().prune_prefilter_hits
+                 : Metrics().prune_countermodel_hits)
+        ->Increment();
+    out.verdict = ContainmentVerdict::kNotContained;
+    out.facts = p.start.NumFacts();
+  } else if (linear) {
+    out = SaturateLinear(p, chase_options);
+  } else {
+    out = SaturateGeneric(p, chase_options);
+  }
+
+  uint64_t elapsed = timer.ElapsedMicros();
+  Metrics().check_miss_us->Record(elapsed);
+  if (linear) Metrics().linear_depth->Record(out.rounds);
+  QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
+      "", GoalRelationName(p.goal, p.universe), elapsed, out.rounds,
+      out.facts, out.goal_checks, pruned_constraints, false});
+  if (span.active()) {
+    span.AddStr("cache", options.use_containment_cache ? "miss" : "off");
+    span.AddStr("verdict", VerdictName(out.verdict));
+    span.AddInt(linear ? "depth" : "rounds", static_cast<int64_t>(out.rounds));
+    span.AddInt("facts", static_cast<int64_t>(out.facts));
+    span.AddInt("pruned_constraints",
+                static_cast<int64_t>(pruned_constraints));
+    if (prefiltered) span.AddStr("prefilter", "hit");
+    if (countermodeled) span.AddStr("countermodel", "hit");
+  }
+  if (options.use_containment_cache) {
+    ContainmentCache::Get().Store(key, out);
+  }
+  return out;
+}
+
 }  // namespace
 
 ContainmentOutcome CheckContainment(
@@ -347,192 +612,10 @@ ContainmentOutcome CheckContainmentFrom(
     const ConstraintSet& sigma, Universe* universe,
     const ChaseOptions& options,
     const std::vector<CardinalityRule>& cardinality_rules) {
-  Metrics().checks->Increment();
-  ScopedTimer timer(Metrics().check_us);
-  TraceSpan span("containment.check");
-
-  CacheKey key;
-  if (options.use_containment_cache) {
-    key = MakeGenericKey(start, goal, sigma, options, cardinality_rules);
-    ContainmentOutcome cached;
-    if (ContainmentCache::Get().Lookup(key, &cached)) {
-      Metrics().cache_hits->Increment();
-      uint64_t elapsed = timer.ElapsedMicros();
-      Metrics().check_hit_us->Record(elapsed);
-      // A hit did no chase work: attribute only the lookup cost.
-      QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
-          "", GoalRelationName(goal, universe), elapsed, 0, 0, 0, 0, true});
-      if (span.active()) {
-        span.AddStr("cache", "hit");
-        span.AddStr("verdict", VerdictName(cached.verdict));
-      }
-      return cached;
-    }
-    Metrics().cache_misses->Increment();
-  }
-
-  // Goal-directed mode (chase/relevance.h): restrict chase firing to the
-  // constraints backward-reachable from the goal, and try the signature
-  // prefilter before chasing at all. The prefilter's kNotContained is only
-  // sound when no FD can conflict — a conflict would make the containment
-  // vacuously kContained, which the signature abstraction cannot see.
-  RelevanceResult relevance;
-  ChaseOptions chase_options = options;
-  uint64_t pruned_constraints = 0;
-  bool prefiltered = false;
-  if (options.prune_to_goal) {
-    relevance =
-        ComputeRelevance(goal, sigma, cardinality_rules,
-                         universe != nullptr ? universe->NumRelations() : 0,
-                         options.inject_overprune_for_testing);
-    chase_options.relevant_relations = &relevance.relevant_relations;
-    pruned_constraints = relevance.PrunedConstraints();
-    Metrics().prune_checks->Increment();
-    if (pruned_constraints > 0) {
-      Metrics().prune_constraints->Increment(pruned_constraints);
-    }
-    prefiltered = sigma.fds.empty() &&
-                  !SignatureCanReachGoal(start, goal, sigma.tgds,
-                                         cardinality_rules,
-                                         relevance.relevant_relations);
-  }
-  // Second-tier prefilter: when the signature abstraction is too coarse,
-  // try to exhibit a finite witness-reuse countermodel of the FULL Σ (no
-  // relevance pruning — airtight soundness for kNotContained even under
-  // an overprune injection). Only valid with no FDs, like the signature
-  // tier: an FD conflict would make the containment vacuously true.
-  bool countermodeled = false;
-  if (options.prune_to_goal && !prefiltered && sigma.fds.empty()) {
-    countermodeled = CounterModelRefutesGoals(start, {goal}, sigma.tgds,
-                                              cardinality_rules, universe);
-  }
-
-  ContainmentOutcome out;
-  if (prefiltered || countermodeled) {
-    if (prefiltered) {
-      Metrics().prune_prefilter_hits->Increment();
-    } else {
-      Metrics().prune_countermodel_hits->Increment();
-    }
-    out.verdict = ContainmentVerdict::kNotContained;
-    out.chase.status = ChaseStatus::kCompleted;
-    out.chase.instance = start;
-  } else {
-    bool goal_reached = false;
-    out.chase = RunChaseUntil(start, sigma, goal, universe, &goal_reached,
-                              chase_options, cardinality_rules);
-    if (out.chase.status == ChaseStatus::kFdConflict) {
-      // No instance satisfies Q together with Σ, so the containment holds
-      // vacuously.
-      out.verdict = ContainmentVerdict::kContained;
-    } else if (goal_reached) {
-      out.verdict = ContainmentVerdict::kContained;
-    } else if (out.chase.status == ChaseStatus::kCompleted) {
-      out.verdict = ContainmentVerdict::kNotContained;
-    } else {
-      out.verdict = ContainmentVerdict::kUnknown;
-    }
-  }
-  uint64_t elapsed = timer.ElapsedMicros();
-  Metrics().check_miss_us->Record(elapsed);
-  QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
-      "", GoalRelationName(goal, universe), elapsed, out.chase.rounds,
-      out.chase.instance.NumFacts(), out.chase.goal_checks,
-      pruned_constraints, false});
-  if (span.active()) {
-    span.AddStr("cache", options.use_containment_cache ? "miss" : "off");
-    span.AddStr("verdict", VerdictName(out.verdict));
-    span.AddInt("rounds", static_cast<int64_t>(out.chase.rounds));
-    span.AddInt("facts",
-                static_cast<int64_t>(out.chase.instance.NumFacts()));
-    span.AddInt("pruned_constraints",
-                static_cast<int64_t>(pruned_constraints));
-    if (prefiltered) span.AddStr("prefilter", "hit");
-    if (countermodeled) span.AddStr("countermodel", "hit");
-  }
-  if (options.use_containment_cache) {
-    ContainmentCache::Get().Store(key, out);
-  }
-  return out;
-}
-
-ContainmentOutcome CheckUcqContainment(const UnionQuery& q,
-                                       const UnionQuery& q_prime,
-                                       const ConstraintSet& sigma,
-                                       Universe* universe,
-                                       const ChaseOptions& options) {
-  std::vector<std::vector<Atom>> goals;
-  for (const ConjunctiveQuery& cq : q_prime.disjuncts()) {
-    goals.push_back(cq.atoms());
-  }
-  // One relevance closure covers every disjunct: relevance depends only on
-  // the goals and Σ, not on the start instance.
-  RelevanceResult relevance;
-  ChaseOptions chase_options = options;
-  if (options.prune_to_goal) {
-    relevance =
-        ComputeRelevance(goals, sigma.tgds, sigma.fds, {},
-                         universe != nullptr ? universe->NumRelations() : 0,
-                         options.inject_overprune_for_testing);
-    chase_options.relevant_relations = &relevance.relevant_relations;
-  }
-  ContainmentOutcome overall;
-  overall.verdict = ContainmentVerdict::kContained;  // empty Q is contained
-  for (const ConjunctiveQuery& cq : q.disjuncts()) {
-    Instance db = cq.CanonicalDatabase();
-    ContainmentVerdict verdict;
-    ChaseResult chase;
-    bool prefiltered = false;
-    if (options.prune_to_goal && sigma.fds.empty()) {
-      std::vector<bool> closure = SignatureClosure(
-          db, sigma.tgds, {}, relevance.relevant_relations);
-      prefiltered = true;
-      for (const std::vector<Atom>& g : goals) {
-        if (GoalWithinSignature(g, closure)) {
-          prefiltered = false;
-          break;
-        }
-      }
-    }
-    bool countermodeled = false;
-    if (options.prune_to_goal && !prefiltered && sigma.fds.empty()) {
-      // A countermodel must refute EVERY disjunct of q' to certify that
-      // this disjunct of q is a counterexample.
-      countermodeled =
-          CounterModelRefutesGoals(db, goals, sigma.tgds, {}, universe);
-    }
-    if (prefiltered || countermodeled) {
-      if (prefiltered) {
-        Metrics().prune_prefilter_hits->Increment();
-      } else {
-        Metrics().prune_countermodel_hits->Increment();
-      }
-      verdict = ContainmentVerdict::kNotContained;
-      chase.status = ChaseStatus::kCompleted;
-      chase.instance = std::move(db);
-    } else {
-      bool goal_reached = false;
-      chase = RunChaseUntilAny(db, sigma, goals, universe, &goal_reached,
-                               chase_options);
-      if (chase.status == ChaseStatus::kFdConflict || goal_reached) {
-        verdict = ContainmentVerdict::kContained;
-      } else if (chase.status == ChaseStatus::kCompleted) {
-        verdict = ContainmentVerdict::kNotContained;
-      } else {
-        verdict = ContainmentVerdict::kUnknown;
-      }
-    }
-    overall.chase = std::move(chase);
-    if (verdict == ContainmentVerdict::kNotContained) {
-      // A definite counterexample disjunct settles the whole containment.
-      overall.verdict = verdict;
-      return overall;
-    }
-    if (verdict == ContainmentVerdict::kUnknown) {
-      overall.verdict = ContainmentVerdict::kUnknown;
-    }
-  }
-  return overall;
+  return RunPipeline(Problem{Engine::kGeneric, start, goal, sigma,
+                             sigma.tgds, cardinality_rules,
+                             options.max_rounds, options.max_facts,
+                             universe, options});
 }
 
 uint64_t JohnsonKlugDepthBound(size_t goal_atoms, size_t sigma_bounded,
@@ -578,220 +661,11 @@ ContainmentOutcome CheckLinearContainmentFrom(
   for (const Tgd& tgd : linear_tgds) {
     RBDA_CHECK(tgd.IsLinear());
   }
-  const bool use_cache = options.use_containment_cache;
-
-  Metrics().checks->Increment();
-  Metrics().checks_linear->Increment();
-  ScopedTimer timer(Metrics().check_us);
-  TraceSpan span("containment.check.linear");
-
-  CacheKey key;
-  if (use_cache) {
-    key = MakeLinearKey(start, goal, linear_tgds, max_depth, max_facts,
-                        options);
-    ContainmentOutcome cached;
-    if (ContainmentCache::Get().Lookup(key, &cached)) {
-      Metrics().cache_hits->Increment();
-      uint64_t elapsed = timer.ElapsedMicros();
-      Metrics().check_hit_us->Record(elapsed);
-      QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
-          "", GoalRelationName(goal, universe), elapsed, 0, 0, 0, 0, true});
-      if (span.active()) {
-        span.AddStr("cache", "hit");
-        span.AddStr("verdict", VerdictName(cached.verdict));
-      }
-      return cached;
-    }
-    Metrics().cache_misses->Increment();
-  }
-
-  // Goal-directed mode: skip TGDs that cannot contribute to the goal (no
-  // FDs here, so the relevance seeds are the goal relations alone and the
-  // signature prefilter is always sound).
-  RelevanceResult relevance;
-  std::vector<bool> tgd_enabled;  // empty = fire everything
-  uint64_t pruned_constraints = 0;
-  if (options.prune_to_goal) {
-    relevance =
-        ComputeRelevance({goal}, linear_tgds, {}, {},
-                         universe != nullptr ? universe->NumRelations() : 0,
-                         options.inject_overprune_for_testing);
-    pruned_constraints = relevance.PrunedConstraints();
-    Metrics().prune_checks->Increment();
-    if (pruned_constraints > 0) {
-      Metrics().prune_constraints->Increment(pruned_constraints);
-    }
-    tgd_enabled.reserve(linear_tgds.size());
-    for (const Tgd& tgd : linear_tgds) {
-      tgd_enabled.push_back(TgdIsRelevant(tgd, relevance.relevant_relations));
-    }
-  }
-
-  ContainmentOutcome out;
-  Instance& inst = out.chase.instance;
-
-  // Breadth-first by depth level: `frontier` holds the facts created at the
-  // current depth; triggers are fired on frontier facts only (each linear
-  // TGD has a single body atom, so every trigger is rooted at one fact).
-  // A row-id-cap overflow anywhere in the linear chase degrades the check
-  // to kUnknown (a budget-style outcome) instead of aborting the process —
-  // the daemon serves the request as incomplete and stays up.
-  bool row_ids_exhausted = false;
-  std::vector<Fact> frontier;
-  start.ForEachFactUntil([&](FactRef f) {
-    bool inserted = false;
-    if (!inst.TryAddRow(f.relation(), f.args(), &inserted).ok()) {
-      row_ids_exhausted = true;
-      return false;
-    }
-    if (inserted) frontier.push_back(Fact(f));
-    return true;
-  });
-
-  // Delta-restricted when `delta` is non-null: the pre-delta state was
-  // already goal-checked, and the linear instance is append-only (no EGD
-  // rebuilds), so marks stay valid and only homomorphisms touching the
-  // depth's new facts can newly satisfy the goal.
-  auto goal_holds = [&](const Instance::DeltaMark* delta) {
-    Metrics().hom_checks->IncrementCell();
-    ++out.chase.goal_checks;
-    bool found =
-        delta != nullptr
-            ? FindHomomorphismDelta(goal, inst, nullptr, *delta).has_value()
-            : FindHomomorphism(goal, inst).has_value();
-    if (found) Metrics().hom_checks_ok->IncrementCell();
-    return found;
-  };
-
-  auto finish = [&](ContainmentVerdict verdict) {
-    out.verdict = verdict;
-    Metrics().linear_depth->Record(out.depth_reached);
-    uint64_t elapsed = timer.ElapsedMicros();
-    Metrics().check_miss_us->Record(elapsed);
-    QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
-        "", GoalRelationName(goal, universe), elapsed, out.chase.rounds,
-        inst.NumFacts(), out.chase.goal_checks, pruned_constraints, false});
-    if (span.active()) {
-      span.AddStr("cache", use_cache ? "miss" : "off");
-      span.AddStr("verdict", VerdictName(verdict));
-      span.AddInt("depth", static_cast<int64_t>(out.depth_reached));
-      span.AddInt("facts", static_cast<int64_t>(inst.NumFacts()));
-      span.AddInt("pruned_constraints",
-                  static_cast<int64_t>(pruned_constraints));
-    }
-    if (use_cache) ContainmentCache::Get().Store(key, out);
-    return std::move(out);
-  };
-
-  if (row_ids_exhausted) {
-    out.chase.status = ChaseStatus::kBudgetExceeded;
-    out.chase.exhausted = ChaseExhausted::kFacts;
-    return finish(ContainmentVerdict::kUnknown);
-  }
-
-  if (options.prune_to_goal &&
-      !SignatureCanReachGoal(inst, goal, linear_tgds, {},
-                             relevance.relevant_relations)) {
-    // The goal's relations are not even signature-reachable: no depth of
-    // chasing can produce a match, and with no FDs the (possibly
-    // unbounded) full chase is a counter-model.
-    Metrics().prune_prefilter_hits->Increment();
-    out.chase.status = ChaseStatus::kCompleted;
-    if (span.active()) span.AddStr("prefilter", "hit");
-    return finish(ContainmentVerdict::kNotContained);
-  }
-
-  if (goal_holds(nullptr)) {
-    return finish(ContainmentVerdict::kContained);
-  }
-
-  // Second-tier prefilter: a finite witness-reuse countermodel refutes
-  // the goal without descending the (possibly exponential) chase tree.
-  // Linear TGDs have no FDs, so the countermodel is always sound here.
-  if (options.prune_to_goal &&
-      CounterModelRefutesGoals(inst, {goal}, linear_tgds, {}, universe)) {
-    Metrics().prune_countermodel_hits->Increment();
-    out.chase.status = ChaseStatus::kCompleted;
-    if (span.active()) span.AddStr("countermodel", "hit");
-    return finish(ContainmentVerdict::kNotContained);
-  }
-
-  for (uint64_t depth = 1; depth <= max_depth && !frontier.empty(); ++depth) {
-    out.depth_reached = depth;
-    // Everything below the mark was goal-checked after the previous depth
-    // (or initially), so the post-depth check can be delta-restricted.
-    Instance::DeltaMark depth_mark = inst.Mark();
-    std::vector<Fact> next;
-    for (const Fact& fact : frontier) {
-      if (row_ids_exhausted) break;
-      Instance just_fact;
-      just_fact.AddFact(fact);
-      for (size_t ti = 0; ti < linear_tgds.size(); ++ti) {
-        if (!tgd_enabled.empty() && !tgd_enabled[ti]) continue;  // pruned
-        const Tgd& tgd = linear_tgds[ti];
-        if (row_ids_exhausted) break;
-        if (tgd.body()[0].relation != fact.relation) continue;
-        // All body matches of this single-atom body against `fact`.
-        ForEachHomomorphism(
-            tgd.body(), just_fact, nullptr, [&](const Substitution& sub) {
-              Substitution seed;
-              for (Term x : tgd.ExportedVariables()) {
-                seed.emplace(x, ApplyToTerm(sub, x));
-              }
-              Metrics().activeness_checks->IncrementCell();
-              if (FindHomomorphism(tgd.head(), inst, &seed).has_value()) {
-                return true;  // not active
-              }
-              Substitution extension = seed;
-              for (Term y : tgd.ExistentialVariables()) {
-                extension.emplace(y, universe->FreshNull());
-              }
-              uint64_t created_count = 0;
-              for (const Atom& h : tgd.head()) {
-                Fact created = ApplyToAtom(extension, h);
-                bool inserted = false;
-                if (!inst.TryAddFact(created, &inserted).ok()) {
-                  row_ids_exhausted = true;
-                  return false;  // stop enumerating; degrade below
-                }
-                if (inserted) {
-                  next.push_back(created);
-                  ++created_count;
-                }
-              }
-              ++out.chase.tgd_steps;
-              Metrics().chase_triggers_tgd->IncrementCell();
-              Metrics().chase_facts_created->IncrementCell(created_count);
-              return true;
-            });
-      }
-    }
-    out.chase.rounds = depth;
-    Metrics().chase_rounds->IncrementCell();
-    if (TraceEnabled()) {
-      TraceEventRecord("chase.round.linear",
-                       {{"depth", static_cast<int64_t>(depth)},
-                        {"frontier", static_cast<int64_t>(next.size())},
-                        {"facts", static_cast<int64_t>(inst.NumFacts())}});
-    }
-    if (goal_holds(inst.MarkValid(depth_mark) ? &depth_mark : nullptr)) {
-      return finish(ContainmentVerdict::kContained);
-    }
-    if (row_ids_exhausted || inst.NumFacts() > max_facts) {
-      out.chase.status = ChaseStatus::kBudgetExceeded;
-      out.chase.exhausted = ChaseExhausted::kFacts;
-      Metrics().chase_exhausted_facts->IncrementCell();
-      return finish(ContainmentVerdict::kUnknown);
-    }
-    frontier = std::move(next);
-  }
-
-  // Empty frontier: the chase terminated before the depth bound — exact
-  // answer. Otherwise the depth bound was reached: complete by the
-  // Johnson–Klug argument when max_depth is the JK bound for this
-  // constraint set.
-  out.chase.status = ChaseStatus::kCompleted;
-  return finish(ContainmentVerdict::kNotContained);
+  static const ConstraintSet kNoSigma;
+  static const std::vector<CardinalityRule> kNoRules;
+  return RunPipeline(Problem{Engine::kLinear, start, goal, kNoSigma,
+                             linear_tgds, kNoRules, max_depth, max_facts,
+                             universe, options});
 }
 
 void ClearContainmentCache() { ContainmentCache::Get().Clear(); }

@@ -11,17 +11,19 @@
 //    TGDs of bounded semi-width (paper Prop 5.6 / E.8). This is the engine
 //    behind the paper's NP results after linearization.
 //
-// Both engines consult a process-wide memoization cache keyed by a
-// canonical encoding of (start instance, goal, constraint set, engine
-// options): Answerability's per-access-method checks and repeated Decide
-// calls over the same schema re-pose identical containment problems, and a
-// hit replays the stored outcome (verdict, chase statistics, final
-// instance) without re-chasing. Opt out per call via
-// ChaseOptions::use_containment_cache; observe via the
-// containment.cache.{hits,misses,evictions} counters. Cached outcomes may
-// reference labeled nulls minted by the run that populated the entry
-// rather than by the caller's universe — null identity is only meaningful
-// within an outcome anyway.
+// Both engines run one pipeline: key → cache lookup → relevance →
+// signature prefilter → countermodel → saturate → verdict and record. Only
+// the saturate stage differs (the budgeted restricted chase, or the
+// depth-bounded tree chase).
+//
+// The pipeline consults a process-wide memoization cache keyed by a
+// canonical encoding of the engine and the inputs its saturate stage reads
+// (start instance, goal, constraints, budgets, pruning mode):
+// Answerability's per-access-method checks and repeated Decide calls over
+// the same schema re-pose identical containment problems, and a hit
+// replays the stored verdict and chase statistics without re-chasing. Opt
+// out per call via ChaseOptions::use_containment_cache; observe via the
+// containment.cache.{hits,misses,evictions} counters.
 //
 // Both engines are goal-directed by default (ChaseOptions::prune_to_goal,
 // chase/relevance.h): constraints that cannot contribute to deriving the
@@ -46,10 +48,19 @@ enum class ContainmentVerdict {
   kUnknown,  // resource budget exhausted before the chase terminated
 };
 
+/// A containment verdict and the statistics of the run behind it (the
+/// chased instance itself is not kept). The linear engine counts depth
+/// levels as rounds; it reports kBudgetExceeded with exhausted = kRounds
+/// when it stops at its depth bound with facts still to expand, which
+/// leaves the verdict kNotContained (no match up to that depth).
 struct ContainmentOutcome {
   ContainmentVerdict verdict = ContainmentVerdict::kUnknown;
-  ChaseResult chase;      // final chase state (proof when kContained)
-  uint64_t depth_reached = 0;  // linear engine only
+  ChaseStatus status = ChaseStatus::kCompleted;
+  ChaseExhausted exhausted = ChaseExhausted::kNone;  // set iff budget trip
+  uint64_t rounds = 0;
+  uint64_t facts = 0;  // facts in the final instance
+  uint64_t tgd_steps = 0;
+  uint64_t goal_checks = 0;
 };
 
 /// Generic containment check for Boolean CQs: Q ⊆_Σ Q'.
@@ -58,14 +69,6 @@ ContainmentOutcome CheckContainment(
     const ConstraintSet& sigma, Universe* universe,
     const ChaseOptions& options = {},
     const std::vector<CardinalityRule>& cardinality_rules = {});
-
-/// UCQ containment: Q ⊆_Σ Q' for unions of Boolean CQs. Q is contained iff
-/// every disjunct of Q entails some disjunct of Q' under Σ.
-ContainmentOutcome CheckUcqContainment(const UnionQuery& q,
-                                       const UnionQuery& q_prime,
-                                       const ConstraintSet& sigma,
-                                       Universe* universe,
-                                       const ChaseOptions& options = {});
 
 /// Generic engine starting from an explicit instance (e.g. a canonical
 /// database enriched with accessibility facts) instead of CanonDB(Q).
@@ -84,9 +87,11 @@ uint64_t JohnsonKlugDepthBound(size_t goal_atoms, size_t sigma_bounded,
                                size_t sigma_acyclic, size_t arity,
                                size_t width);
 
-/// Depth-bounded chase containment for linear TGDs (no FDs). Complete when
-/// `max_depth` is at least the JK bound for the decomposed constraint set.
-/// `max_facts` guards against breadth blowup (kUnknown if exceeded).
+/// Depth-bounded chase containment for linear TGDs (no FDs). A
+/// kNotContained verdict is complete when the chase terminated (status
+/// kCompleted) or when `max_depth` is at least the JK bound for the
+/// decomposed constraint set. `max_facts` guards against breadth blowup
+/// (kUnknown if exceeded).
 ContainmentOutcome CheckLinearContainment(const ConjunctiveQuery& q,
                                           const ConjunctiveQuery& q_prime,
                                           const std::vector<Tgd>& linear_tgds,

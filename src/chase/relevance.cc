@@ -89,15 +89,6 @@ RelevanceResult ComputeRelevance(const std::vector<std::vector<Atom>>& goals,
   return out;
 }
 
-RelevanceResult ComputeRelevance(const std::vector<Atom>& goal,
-                                 const ConstraintSet& sigma,
-                                 const std::vector<CardinalityRule>& rules,
-                                 size_t num_relations,
-                                 bool inject_overprune_for_testing) {
-  return ComputeRelevance({goal}, sigma.tgds, sigma.fds, rules, num_relations,
-                          inject_overprune_for_testing);
-}
-
 std::vector<bool> SignatureClosure(const Instance& start,
                                    const std::vector<Tgd>& tgds,
                                    const std::vector<CardinalityRule>& rules,
@@ -180,6 +171,11 @@ bool CounterModelRefutesGoals(const Instance& start,
     return true;
   });
   if (overflow || m.NumFacts() > max_facts) return false;
+  // The model extends `start`, so a goal that already holds there holds
+  // in it too: no countermodel to find.
+  for (const std::vector<Atom>& goal : goals) {
+    if (FindHomomorphism(goal, m).has_value()) return false;
+  }
 
   // One fixed witness null per (TGD, existential variable): every firing
   // of the same TGD lands on the same witnesses, which merges the chase

@@ -73,8 +73,8 @@ bool TgdIsRelevant(const Tgd& tgd, const std::vector<bool>& relevant);
 bool CardinalityRuleIsRelevant(const CardinalityRule& rule,
                                const std::vector<bool>& relevant);
 
-/// Backward relevance closure for a disjunction of goals (UCQ right-hand
-/// sides share one closure). `num_relations` pre-sizes the bitset
+/// Backward relevance closure for a disjunction of goals (one closure
+/// covers them all). `num_relations` pre-sizes the bitset
 /// (Universe::NumRelations()); relation ids beyond it still grow it.
 /// `inject_overprune_for_testing` deliberately drops one non-seed relevant
 /// relation from the final set — the rbda_fuzz --inject-bug=overprune hook
@@ -82,13 +82,6 @@ bool CardinalityRuleIsRelevant(const CardinalityRule& rule,
 RelevanceResult ComputeRelevance(const std::vector<std::vector<Atom>>& goals,
                                  const std::vector<Tgd>& tgds,
                                  const std::vector<Fd>& fds,
-                                 const std::vector<CardinalityRule>& rules,
-                                 size_t num_relations,
-                                 bool inject_overprune_for_testing = false);
-
-/// Single-goal convenience over a ConstraintSet.
-RelevanceResult ComputeRelevance(const std::vector<Atom>& goal,
-                                 const ConstraintSet& sigma,
                                  const std::vector<CardinalityRule>& rules,
                                  size_t num_relations,
                                  bool inject_overprune_for_testing = false);

@@ -74,11 +74,10 @@ Answerability FromVerdict(ContainmentVerdict v) {
 }
 
 void FillStats(Decision* d, const ContainmentOutcome& outcome) {
-  d->chase_rounds = outcome.chase.rounds;
-  d->chase_facts = outcome.chase.instance.NumFacts();
-  d->tgd_steps = outcome.chase.tgd_steps;
-  d->depth_reached = outcome.depth_reached;
-  d->exhausted = outcome.chase.exhausted;
+  d->chase_rounds = outcome.rounds;
+  d->chase_facts = outcome.facts;
+  d->tgd_steps = outcome.tgd_steps;
+  d->exhausted = outcome.exhausted;
 }
 
 // Generic pipeline: build the AMonDet reduction over `work` and chase.
@@ -133,14 +132,18 @@ StatusOr<Decision> LinearPipeline(const ServiceSchema& work,
   d.gamma_size = lin->tgds.size();
   d.depth_bound = lin->jk_depth_bound;
   FillStats(&d, outcome);
+  d.depth_reached = outcome.rounds;  // the linear engine's rounds are depths
   // A kNotContained verdict is a decision when the chase either terminated
-  // on its own or ran to the full JK bound.
-  bool ran_full_bound = depth == lin->jk_depth_bound;
-  bool terminated = outcome.depth_reached < depth ||
-                    outcome.chase.status == ChaseStatus::kCompleted;
+  // on its own or ran to the full JK bound. A run that linear_depth_cap
+  // stopped below the bound (exhausted = kRounds) decides nothing.
   if (outcome.verdict == ContainmentVerdict::kNotContained) {
-    d.complete = terminated || ran_full_bound;
-    if (!d.complete) d.verdict = Answerability::kUnknown;
+    d.complete = outcome.status == ChaseStatus::kCompleted ||
+                 depth == lin->jk_depth_bound;
+    if (d.complete) {
+      d.exhausted = ChaseExhausted::kNone;
+    } else {
+      d.verdict = Answerability::kUnknown;
+    }
   } else {
     d.complete = outcome.verdict != ContainmentVerdict::kUnknown;
   }

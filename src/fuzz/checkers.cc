@@ -492,7 +492,7 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
     }
   }
 
-  // --- containment-cache: memoized verdicts must equal uncached ones. ---
+  // --- containment-cache: memoized outcomes must equal uncached ones. ---
   if (options.check_containment_cache) {
     Rng rng(options.seed ^ kContainmentStream);
     ConjunctiveQuery q2 = GenerateQuery(schema, 2, 3, &rng);
@@ -512,12 +512,17 @@ CheckReport RunCheckerBattery(const ServiceSchema& schema,
         query, q2, schema.constraints(), &universe, cached);
     ClearContainmentCache();
     count(true);
-    if (plain.verdict != miss.verdict || miss.verdict != hit.verdict) {
+    auto describe = [](const ContainmentOutcome& o) {
+      return std::to_string(static_cast<int>(o.verdict)) + "," +
+             std::to_string(static_cast<int>(o.status)) + "," +
+             std::to_string(o.rounds) + "," + std::to_string(o.facts);
+    };
+    std::string p = describe(plain), m = describe(miss), h = describe(hit);
+    if (p != m || m != h) {
       AddFinding(&report, "containment-cache",
-                 "containment verdict differs across uncached/miss/hit: " +
-                     std::to_string(static_cast<int>(plain.verdict)) + "/" +
-                     std::to_string(static_cast<int>(miss.verdict)) + "/" +
-                     std::to_string(static_cast<int>(hit.verdict)));
+                 "containment outcome (verdict,status,rounds,facts) differs "
+                 "across uncached/miss/hit: " +
+                     p + "/" + m + "/" + h);
     }
   }
 

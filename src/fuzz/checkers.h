@@ -26,7 +26,7 @@
 //    instance: same status, mutually embedding results, identical certain
 //    answers.
 //  * containment-cache        — cached (miss, then hit) vs. uncached
-//    containment verdicts must be identical.
+//    containment outcomes must agree on verdict, status, rounds and facts.
 //  * goal-pruned-vs-full      — the relevance-pruned decide (the default
 //    goal-directed mode, chase/relevance.h) against the full-Σ decide;
 //    definite verdicts must agree. Pruning being *more* complete (definite

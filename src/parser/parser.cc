@@ -111,6 +111,18 @@ Status Expect(Lexer* lex, std::string_view text) {
   return Status::Ok();
 }
 
+// A statement ends at the end of its line: a body joined with ',' instead
+// of '&' must not parse silently as its first atom.
+Status ExpectEnd(Lexer* lex) {
+  StatusOr<Token> t = lex->Next();
+  RBDA_RETURN_IF_ERROR(t.status());
+  if (t->kind != Token::kEnd) {
+    return Status::InvalidArgument("unexpected trailing token '" + t->text +
+                                   "'");
+  }
+  return Status::Ok();
+}
+
 StatusOr<std::string> ExpectIdent(Lexer* lex) {
   StatusOr<Token> t = lex->Next();
   RBDA_RETURN_IF_ERROR(t.status());
@@ -392,6 +404,7 @@ StatusOr<ParsedDocument> ParseDocument(std::string_view text,
       status =
           Status::InvalidArgument("unknown statement '" + keyword->text + "'");
     }
+    if (status.ok()) status = ExpectEnd(&lex);
     if (!status.ok()) {
       return Status(status.code(), "line " + std::to_string(line_no) + ": " +
                                        status.message());
@@ -403,7 +416,10 @@ StatusOr<ParsedDocument> ParseDocument(std::string_view text,
 StatusOr<ConjunctiveQuery> ParseQuery(std::string_view text,
                                       Universe* universe) {
   Lexer lex(text);
-  return ParseQueryBody(&lex, universe, nullptr);
+  StatusOr<ConjunctiveQuery> q = ParseQueryBody(&lex, universe, nullptr);
+  RBDA_RETURN_IF_ERROR(q.status());
+  RBDA_RETURN_IF_ERROR(ExpectEnd(&lex));
+  return q;
 }
 
 }  // namespace rbda

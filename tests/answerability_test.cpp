@@ -4,6 +4,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "paper_fixtures.h"
+#include "runtime/schema_generators.h"
 
 namespace rbda {
 namespace {
@@ -519,6 +520,42 @@ TEST(AnswerabilityTest, GenericIdPipelineAgreesWithLinearized) {
       EXPECT_EQ(lin.verdict, gen.verdict) << query;
     }
   }
+}
+
+TEST(AnswerabilityTest, CappedLinearDepthClaimsNoRefutation) {
+  // Random ID cases decided with the linear depth capped at 2, below most
+  // JK bounds. A run the cap stopped with facts left to expand decides
+  // nothing, so a complete "not answerable" under the cap must come from a
+  // chase that ended on its own or from a refutation that needs no chase
+  // at all — and then one more level of depth changes nothing.
+  int capped_unknowns = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Universe u;
+    Rng rng(seed);
+    SchemaFamilyOptions family;
+    family.num_relations = 3;
+    family.num_constraints = 3;
+    family.num_methods = 3;
+    ServiceSchema schema = GenerateIdSchema(&u, family, &rng);
+    ConjunctiveQuery q = GenerateQuery(schema, 2, 3, &rng);
+    DecisionOptions capped;
+    capped.linear_depth_cap = 2;
+    Decision d = MustDecide(schema, q, capped);
+    if (d.depth_bound <= 2) continue;
+    if (!d.complete) {
+      EXPECT_EQ(d.exhausted, ChaseExhausted::kRounds) << "seed " << seed;
+      ++capped_unknowns;
+      continue;
+    }
+    if (d.verdict != Answerability::kNotAnswerable) continue;
+    DecisionOptions deeper;
+    deeper.linear_depth_cap = 3;
+    Decision e = MustDecide(schema, q, deeper);
+    EXPECT_TRUE(e.complete) << "seed " << seed;
+    EXPECT_EQ(e.verdict, Answerability::kNotAnswerable) << "seed " << seed;
+    EXPECT_EQ(e.chase_rounds, d.chase_rounds) << "seed " << seed;
+  }
+  EXPECT_GT(capped_unknowns, 0);  // the cap does stop runs in this family
 }
 
 TEST(AnswerabilityTest, MixedFragmentFallsBackToNaive) {

@@ -1,9 +1,8 @@
 // Parameterized property sweeps for the chase engine: soundness (results
 // satisfy the constraints), universality (results embed into every model
-// extending the start instance), and UCQ containment behaviour.
+// extending the start instance), and semi-naive/naive equivalence.
 #include "chase/certain_answers.h"
 #include "chase/chase.h"
-#include "chase/containment.h"
 #include "gtest/gtest.h"
 #include "runtime/generators.h"
 #include "runtime/schema_generators.h"
@@ -211,72 +210,6 @@ TEST_P(SemiNaiveEquivalence, UidFdSchemas) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SemiNaiveEquivalence,
                          ::testing::Range<uint64_t>(1, 68));
-
-// ---- UCQ containment. ----
-
-class UcqContainmentTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    r_ = *universe_.AddRelation("R", 2);
-    s_ = *universe_.AddRelation("S", 2);
-    t_ = *universe_.AddRelation("T", 1);
-    x_ = universe_.Variable("x");
-    y_ = universe_.Variable("y");
-  }
-  Universe universe_;
-  RelationId r_, s_, t_;
-  Term x_, y_;
-};
-
-TEST_F(UcqContainmentTest, DisjunctsCoveredSeparately) {
-  // Σ: R(x,y) -> T(x); S(x,y) -> T(x). Then (R ∪ S) ⊆_Σ T.
-  ConstraintSet sigma;
-  sigma.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
-                          std::vector<Atom>{Atom(t_, {x_})});
-  sigma.tgds.emplace_back(std::vector<Atom>{Atom(s_, {x_, y_})},
-                          std::vector<Atom>{Atom(t_, {x_})});
-  UnionQuery q({ConjunctiveQuery::Boolean({Atom(r_, {x_, y_})}),
-                ConjunctiveQuery::Boolean({Atom(s_, {x_, y_})})});
-  UnionQuery t_query({ConjunctiveQuery::Boolean({Atom(t_, {x_})})});
-  EXPECT_EQ(CheckUcqContainment(q, t_query, sigma, &universe_).verdict,
-            ContainmentVerdict::kContained);
-  // The converse fails: T alone entails neither R nor S.
-  EXPECT_EQ(CheckUcqContainment(t_query, q, sigma, &universe_).verdict,
-            ContainmentVerdict::kNotContained);
-}
-
-TEST_F(UcqContainmentTest, RightSideDisjunction) {
-  // No constraints: R ⊆ (R ∪ S) but R ⊄ S.
-  ConstraintSet sigma;
-  UnionQuery r_query({ConjunctiveQuery::Boolean({Atom(r_, {x_, y_})})});
-  UnionQuery either({ConjunctiveQuery::Boolean({Atom(r_, {x_, y_})}),
-                     ConjunctiveQuery::Boolean({Atom(s_, {x_, y_})})});
-  UnionQuery s_query({ConjunctiveQuery::Boolean({Atom(s_, {x_, y_})})});
-  EXPECT_EQ(CheckUcqContainment(r_query, either, sigma, &universe_).verdict,
-            ContainmentVerdict::kContained);
-  EXPECT_EQ(CheckUcqContainment(r_query, s_query, sigma, &universe_).verdict,
-            ContainmentVerdict::kNotContained);
-}
-
-TEST_F(UcqContainmentTest, EmptyLeftIsContained) {
-  ConstraintSet sigma;
-  UnionQuery empty;
-  UnionQuery s_query({ConjunctiveQuery::Boolean({Atom(s_, {x_, y_})})});
-  EXPECT_EQ(CheckUcqContainment(empty, s_query, sigma, &universe_).verdict,
-            ContainmentVerdict::kContained);
-}
-
-TEST_F(UcqContainmentTest, AgreesWithCqContainment) {
-  ConstraintSet sigma;
-  sigma.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
-                          std::vector<Atom>{Atom(s_, {y_, x_})});
-  ConjunctiveQuery q = ConjunctiveQuery::Boolean({Atom(r_, {x_, y_})});
-  ConjunctiveQuery qp = ConjunctiveQuery::Boolean({Atom(s_, {y_, x_})});
-  ContainmentOutcome single = CheckContainment(q, qp, sigma, &universe_);
-  ContainmentOutcome as_ucq = CheckUcqContainment(
-      UnionQuery({q}), UnionQuery({qp}), sigma, &universe_);
-  EXPECT_EQ(single.verdict, as_ucq.verdict);
-}
 
 }  // namespace
 }  // namespace rbda

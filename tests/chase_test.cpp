@@ -393,13 +393,55 @@ TEST_F(ChaseTest, LinearContainmentInfiniteChaseDecided) {
   ContainmentOutcome outcome =
       CheckLinearContainment(q, no, ids, &universe_, depth, 500000, unpruned);
   EXPECT_EQ(outcome.verdict, ContainmentVerdict::kNotContained);
-  EXPECT_EQ(outcome.depth_reached, depth);  // ran to the bound
+  EXPECT_EQ(outcome.rounds, depth);  // ran to the bound
+  // The frontier never empties, so the depth bound stopped the run.
+  EXPECT_EQ(outcome.status, ChaseStatus::kBudgetExceeded);
+  EXPECT_EQ(outcome.exhausted, ChaseExhausted::kRounds);
   // Goal-directed mode refutes from the relation signature alone: T is not
   // reachable from {R, S}, so the engine answers before expanding a level.
   ContainmentOutcome pruned =
       CheckLinearContainment(q, no, ids, &universe_, depth);
   EXPECT_EQ(pruned.verdict, ContainmentVerdict::kNotContained);
-  EXPECT_EQ(pruned.depth_reached, 0u);
+  EXPECT_EQ(pruned.rounds, 0u);
+  EXPECT_EQ(pruned.status, ChaseStatus::kCompleted);
+}
+
+TEST_F(ChaseTest, LinearDepthCapIsABudgetExit) {
+  // Chain R0 -> R1 -> R2 -> R3 from R0(a): the goal R3(a) first holds at
+  // depth 3. A run capped at depth 1 or 2 has facts left to expand, so it
+  // must report the depth budget, not a terminated chase.
+  std::vector<RelationId> chain;
+  for (int i = 0; i < 4; ++i) {
+    chain.push_back(*universe_.AddRelation("R" + std::to_string(i), 1));
+  }
+  std::vector<Tgd> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.emplace_back(std::vector<Atom>{Atom(chain[i], {x_})},
+                     std::vector<Atom>{Atom(chain[i + 1], {x_})});
+  }
+  ConjunctiveQuery q = ConjunctiveQuery::Boolean({Atom(chain[0], {a_})});
+  ConjunctiveQuery goal = ConjunctiveQuery::Boolean({Atom(chain[3], {a_})});
+  for (uint64_t cap : {1u, 2u}) {
+    ContainmentOutcome capped =
+        CheckLinearContainment(q, goal, ids, &universe_, cap);
+    EXPECT_EQ(capped.verdict, ContainmentVerdict::kNotContained) << cap;
+    EXPECT_EQ(capped.status, ChaseStatus::kBudgetExceeded) << cap;
+    EXPECT_EQ(capped.exhausted, ChaseExhausted::kRounds) << cap;
+    EXPECT_EQ(capped.rounds, cap);
+  }
+  ContainmentOutcome full = CheckLinearContainment(q, goal, ids, &universe_, 3);
+  EXPECT_EQ(full.verdict, ContainmentVerdict::kContained);
+  EXPECT_EQ(full.status, ChaseStatus::kCompleted);
+  // Past R3 nothing fires: a run with depth to spare terminates on its own.
+  ConjunctiveQuery absent = ConjunctiveQuery::Boolean({Atom(chain[3], {b_})});
+  ChaseOptions unpruned;
+  unpruned.prune_to_goal = false;
+  ContainmentOutcome terminated = CheckLinearContainment(
+      q, absent, ids, &universe_, 10, 500000, unpruned);
+  EXPECT_EQ(terminated.verdict, ContainmentVerdict::kNotContained);
+  EXPECT_EQ(terminated.status, ChaseStatus::kCompleted);
+  EXPECT_EQ(terminated.exhausted, ChaseExhausted::kNone);
+  EXPECT_EQ(terminated.rounds, 4u);  // the fourth level created nothing
 }
 
 TEST_F(ChaseTest, JohnsonKlugBoundPositive) {
@@ -429,8 +471,10 @@ TEST_F(ChaseTest, ContainmentCacheReplaysVerdict) {
   ContainmentOutcome second = CheckContainment(q, qp, cs, &universe_);
   EXPECT_EQ(reg.GetCounter("containment.cache.hits")->value(), hits0 + 1);
   EXPECT_EQ(second.verdict, first.verdict);
-  EXPECT_EQ(second.chase.rounds, first.chase.rounds);
-  EXPECT_EQ(second.chase.instance.NumFacts(), first.chase.instance.NumFacts());
+  EXPECT_EQ(second.status, first.status);
+  EXPECT_EQ(second.rounds, first.rounds);
+  EXPECT_EQ(second.facts, first.facts);
+  EXPECT_EQ(second.tgd_steps, first.tgd_steps);
   EXPECT_EQ(ContainmentCacheSize(), 1u);
 }
 
@@ -487,7 +531,9 @@ TEST_F(ChaseTest, LinearContainmentCacheReplaysVerdict) {
       CheckLinearContainment(q, qp, ids, &universe_, depth);
   EXPECT_EQ(reg.GetCounter("containment.cache.hits")->value(), hits0 + 1);
   EXPECT_EQ(second.verdict, first.verdict);
-  EXPECT_EQ(second.depth_reached, first.depth_reached);
+  EXPECT_EQ(second.status, first.status);
+  EXPECT_EQ(second.rounds, first.rounds);
+  EXPECT_EQ(second.facts, first.facts);
 }
 
 // ---- Weak acyclicity. ----

@@ -124,5 +124,36 @@ TEST(ParserTest, ParseQueryStandalone) {
   EXPECT_EQ(q->free_variables().size(), 1u);
 }
 
+TEST(ParserTest, TrailingTokensAreRejected) {
+  // A query body joined with ',' instead of '&' used to parse silently as
+  // its first atom. Every statement must end at the end of its line.
+  const std::string schema = "relation R(a, b)\nrelation S(a, b)\n";
+  for (const char* line : {
+           "query Q() :- R(x, y), S(y, z)",
+           "tgd R(x, y) -> S(y, x) S(x, x)",
+           "fact R(\"a\", \"b\") extra",
+           "method m on R inputs(0) limit 3 4",
+       }) {
+    Universe universe;
+    StatusOr<ParsedDocument> doc = ParseDocument(schema + line, &universe);
+    ASSERT_FALSE(doc.ok()) << line;
+    EXPECT_EQ(doc.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(doc.status().message().find("line 3"), std::string::npos)
+        << doc.status().message();
+  }
+  // The same statements, well formed, still parse.
+  Universe universe;
+  StatusOr<ParsedDocument> doc = ParseDocument(
+      schema +
+          "query Q() :- R(x, y) & S(y, z)\ntgd R(x, y) -> S(y, x) & S(x, x)\n"
+          "fact R(\"a\", \"b\")\nmethod m on R inputs(0) limit 3",
+      &universe);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->queries.at("Q").atoms().size(), 2u);
+
+  EXPECT_FALSE(ParseQuery("Q() :- R(x, y), S(y, z)", &universe).ok());
+  EXPECT_TRUE(ParseQuery("Q() :- R(x, y) & S(y, z)", &universe).ok());
+}
+
 }  // namespace
 }  // namespace rbda

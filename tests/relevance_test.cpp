@@ -51,16 +51,16 @@ TEST_F(RelevanceTest, TgdChainBackwardReachability) {
   cs.tgds.push_back(MakeTgd(r_, s_));
   cs.tgds.push_back(MakeTgd(s_, t_));
 
-  RelevanceResult all = ComputeRelevance({Atom(t_, {x_})}, cs, {},
-                                         NumRelations());
+  RelevanceResult all = ComputeRelevance({{Atom(t_, {x_})}}, cs.tgds, cs.fds,
+                                         {}, NumRelations());
   EXPECT_TRUE(RelationIsRelevant(r_, all.relevant_relations));
   EXPECT_TRUE(RelationIsRelevant(s_, all.relevant_relations));
   EXPECT_TRUE(RelationIsRelevant(t_, all.relevant_relations));
   EXPECT_EQ(all.relevant_tgds, 2u);
   EXPECT_EQ(all.PrunedConstraints(), 0u);
 
-  RelevanceResult mid = ComputeRelevance({Atom(s_, {x_, y_})}, cs, {},
-                                         NumRelations());
+  RelevanceResult mid = ComputeRelevance({{Atom(s_, {x_, y_})}}, cs.tgds,
+                                         cs.fds, {}, NumRelations());
   EXPECT_TRUE(RelationIsRelevant(r_, mid.relevant_relations));
   EXPECT_TRUE(RelationIsRelevant(s_, mid.relevant_relations));
   EXPECT_FALSE(RelationIsRelevant(t_, mid.relevant_relations));
@@ -78,8 +78,8 @@ TEST_F(RelevanceTest, DisconnectedComponentPrunedMultiHeadKept) {
       std::vector<Atom>{Atom(r_, {x_, y_})},
       std::vector<Atom>{Atom(t_, {y_}), Atom(u_, {x_, y_})});
 
-  RelevanceResult res = ComputeRelevance({Atom(t_, {x_})}, cs, {},
-                                         NumRelations());
+  RelevanceResult res = ComputeRelevance({{Atom(t_, {x_})}}, cs.tgds, cs.fds,
+                                         {}, NumRelations());
   EXPECT_TRUE(RelationIsRelevant(r_, res.relevant_relations));
   EXPECT_TRUE(TgdIsRelevant(cs.tgds[1], res.relevant_relations));
   EXPECT_FALSE(TgdIsRelevant(cs.tgds[0], res.relevant_relations));
@@ -94,8 +94,8 @@ TEST_F(RelevanceTest, FdRelationsSeedTheClosure) {
   cs.tgds.push_back(MakeTgd(r_, u_));  // feeds the FD relation, not the goal
   cs.fds.emplace_back(u_, std::vector<uint32_t>{0}, 1);
 
-  RelevanceResult res = ComputeRelevance({Atom(t_, {x_})}, cs, {},
-                                         NumRelations());
+  RelevanceResult res = ComputeRelevance({{Atom(t_, {x_})}}, cs.tgds, cs.fds,
+                                         {}, NumRelations());
   EXPECT_TRUE(RelationIsRelevant(u_, res.relevant_relations));
   EXPECT_TRUE(RelationIsRelevant(r_, res.relevant_relations));
   EXPECT_EQ(res.pruned_tgds, 0u);
@@ -112,15 +112,14 @@ TEST_F(RelevanceTest, CardinalityRuleBackwardReachability) {
   rule.accessible_rel = acc_;
   rule.bound = 3;
 
-  RelevanceResult hit = ComputeRelevance({Atom(t_, {x_})}, ConstraintSet{},
-                                         {rule}, NumRelations());
+  RelevanceResult hit = ComputeRelevance({{Atom(t_, {x_})}}, {}, {}, {rule},
+                                         NumRelations());
   EXPECT_TRUE(RelationIsRelevant(r_, hit.relevant_relations));
   EXPECT_TRUE(RelationIsRelevant(acc_, hit.relevant_relations));
   EXPECT_EQ(hit.relevant_rules, 1u);
 
-  RelevanceResult miss = ComputeRelevance({Atom(s_, {x_, y_})},
-                                          ConstraintSet{}, {rule},
-                                          NumRelations());
+  RelevanceResult miss = ComputeRelevance({{Atom(s_, {x_, y_})}}, {}, {},
+                                          {rule}, NumRelations());
   EXPECT_FALSE(RelationIsRelevant(r_, miss.relevant_relations));
   EXPECT_EQ(miss.pruned_rules, 1u);
   EXPECT_EQ(miss.PrunedConstraints(), 1u);
@@ -199,10 +198,10 @@ TEST_F(RelevanceTest, OverpruneInjectionDropsOneNonSeedRelation) {
   cs.tgds.push_back(MakeTgd(r_, s_));
   cs.tgds.push_back(MakeTgd(s_, t_));
 
-  RelevanceResult clean = ComputeRelevance({Atom(t_, {x_})}, cs, {},
-                                           NumRelations());
+  RelevanceResult clean = ComputeRelevance({{Atom(t_, {x_})}}, cs.tgds, cs.fds,
+                                           {}, NumRelations());
   RelevanceResult injected = ComputeRelevance(
-      {Atom(t_, {x_})}, cs, {}, NumRelations(),
+      {{Atom(t_, {x_})}}, cs.tgds, cs.fds, {}, NumRelations(),
       /*inject_overprune_for_testing=*/true);
 
   size_t clean_count = 0, injected_count = 0;

@@ -466,8 +466,8 @@ int CmdContainment(ParsedDocument& doc, Universe* universe,
                             : "UNKNOWN (budget)";
   std::printf("%s ⊆_Σ %s : %s  (chase: %llu rounds, %zu facts)\n",
               cli.positional[0].c_str(), cli.positional[1].c_str(), verdict,
-              static_cast<unsigned long long>(outcome.chase.rounds),
-              outcome.chase.instance.NumFacts());
+              static_cast<unsigned long long>(outcome.rounds),
+              static_cast<size_t>(outcome.facts));
   return 0;
 }
 
