@@ -1,8 +1,6 @@
 // Ablation B — Prop 3.3 (ElimUB): result *upper* bounds never affect
 // monotone answerability. On random bounded schemas, deciding with result
-// bounds and with result lower bounds only must agree, at the same cost.
-#include <benchmark/benchmark.h>
-
+// bounds and with result lower bounds only must agree.
 #include "bench_util.h"
 #include "core/simplification.h"
 
@@ -44,45 +42,11 @@ void AgreementTable() {
               "weight for answerability).\n\n");
 }
 
-void BM_DecideWithUpperBounds(benchmark::State& state) {
-  Universe u;
-  StatusOr<ParsedDocument> doc = ParseDocument(UniversityText(25), &u);
-  RBDA_CHECK(doc.ok());
-  ConjunctiveQuery q2 = doc->queries.at("Q2");
-  DecisionOptions naive;
-  naive.force_naive = true;
-  for (auto _ : state) {
-    ClearContainmentCache();
-    StatusOr<Decision> d = DecideMonotoneAnswerability(doc->schema, q2, naive);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(BM_DecideWithUpperBounds)->Unit(benchmark::kMillisecond);
-
-void BM_DecideLowerBoundsOnly(benchmark::State& state) {
-  Universe u;
-  StatusOr<ParsedDocument> doc = ParseDocument(UniversityText(25), &u);
-  RBDA_CHECK(doc.ok());
-  ServiceSchema relaxed = ElimUB(doc->schema);
-  ConjunctiveQuery q2 = doc->queries.at("Q2");
-  DecisionOptions naive;
-  naive.force_naive = true;
-  for (auto _ : state) {
-    ClearContainmentCache();
-    StatusOr<Decision> d = DecideMonotoneAnswerability(relaxed, q2, naive);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(BM_DecideLowerBoundsOnly)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace rbda
 
-int main(int argc, char** argv) {
+int main() {
   rbda::AgreementTable();
-  rbda::PrintBenchMetricsJsonWithSweep(
-      "ablation_elimub", rbda::SweepFamily::kChain, 12, "AE");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  rbda::PrintBenchMetricsJson("ablation_elimub");
   return 0;
 }

@@ -6,10 +6,7 @@
 // bound-independent rule. Reproduced series (the paper's qualitative claim
 // after Example 3.5):
 //  * chase size and rounds of the naive reduction grow linearly in k;
-//  * the simplified pipeline is k-independent;
-//  * decision time crossover as k grows.
-#include <benchmark/benchmark.h>
-
+//  * the simplified pipeline is k-independent.
 #include "bench_util.h"
 
 namespace rbda {
@@ -42,58 +39,11 @@ void SizeTable() {
               "simplified pipeline never looks at k.\n\n");
 }
 
-void BM_NaiveVsBound(benchmark::State& state) {
-  uint32_t k = static_cast<uint32_t>(state.range(0));
-  Universe u;
-  StatusOr<ParsedDocument> doc = ParseDocument(UniversityText(k), &u);
-  RBDA_CHECK(doc.ok());
-  ConjunctiveQuery q1 =
-      ConjunctiveQuery::Boolean(doc->queries.at("Q1").atoms());
-  DecisionOptions naive;
-  naive.force_naive = true;
-  for (auto _ : state) {
-    // Repeated identical decisions would otherwise collapse into cache
-    // lookups; this series measures the chase itself.
-    ClearContainmentCache();
-    StatusOr<Decision> d = DecideMonotoneAnswerability(doc->schema, q1, naive);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(BM_NaiveVsBound)
-    ->Arg(1)
-    ->Arg(10)
-    ->Arg(50)
-    ->Arg(100)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SimplifiedVsBound(benchmark::State& state) {
-  uint32_t k = static_cast<uint32_t>(state.range(0));
-  Universe u;
-  StatusOr<ParsedDocument> doc = ParseDocument(UniversityText(k), &u);
-  RBDA_CHECK(doc.ok());
-  ConjunctiveQuery q1 =
-      ConjunctiveQuery::Boolean(doc->queries.at("Q1").atoms());
-  for (auto _ : state) {
-    ClearContainmentCache();
-    StatusOr<Decision> d = DecideMonotoneAnswerability(doc->schema, q1);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(BM_SimplifiedVsBound)
-    ->Arg(1)
-    ->Arg(10)
-    ->Arg(50)
-    ->Arg(100)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace rbda
 
-int main(int argc, char** argv) {
+int main() {
   rbda::SizeTable();
-  rbda::PrintBenchMetricsJsonWithSweep(
-      "ablation_naive_vs_simplified", rbda::SweepFamily::kId, 12, "AN");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  rbda::PrintBenchMetricsJson("ablation_naive_vs_simplified");
   return 0;
 }

@@ -5,8 +5,6 @@
 // Reproduced shape: the proof-driven plan calls only the methods the proof
 // needs, so its execution makes dramatically fewer service calls at equal
 // (complete) answers.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "core/proof_plans.h"
 #include "runtime/executor.h"
@@ -66,52 +64,11 @@ void CallCountTable() {
               "the proof-driven plan.\n\n");
 }
 
-void BM_ProofPlanExtraction(benchmark::State& state) {
-  Setup setup;
-  const ConjunctiveQuery& q2 = setup.doc.queries.at("Q2");
-  for (auto _ : state) {
-    StatusOr<Plan> plan = ExtractPlanFromProof(setup.doc.schema, q2);
-    benchmark::DoNotOptimize(plan);
-  }
-}
-BENCHMARK(BM_ProofPlanExtraction)->Unit(benchmark::kMillisecond);
-
-void BM_ProofPlanExecution(benchmark::State& state) {
-  Setup setup;
-  StatusOr<Plan> plan =
-      ExtractPlanFromProof(setup.doc.schema, setup.doc.queries.at("Q2"));
-  RBDA_CHECK(plan.ok());
-  for (auto _ : state) {
-    auto selector = MakeIdempotent(MakeSelector(SelectionPolicy::kFirstK));
-    PlanExecutor exec(setup.doc.schema, setup.data, selector.get());
-    StatusOr<Table> out = exec.Execute(*plan);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_ProofPlanExecution)->Unit(benchmark::kMillisecond);
-
-void BM_UniversalPlanExecution(benchmark::State& state) {
-  Setup setup;
-  StatusOr<Plan> plan =
-      SynthesizeUniversalPlan(setup.doc.schema, setup.doc.queries.at("Q2"));
-  RBDA_CHECK(plan.ok());
-  for (auto _ : state) {
-    auto selector = MakeIdempotent(MakeSelector(SelectionPolicy::kFirstK));
-    PlanExecutor exec(setup.doc.schema, setup.data, selector.get());
-    StatusOr<Table> out = exec.Execute(*plan);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_UniversalPlanExecution)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace rbda
 
-int main(int argc, char** argv) {
+int main() {
   rbda::CallCountTable();
-  rbda::PrintBenchMetricsJsonWithSweep(
-      "ablation_proof_plans", rbda::SweepFamily::kUidFd, 12, "AP");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  rbda::PrintBenchMetricsJson("ablation_proof_plans");
   return 0;
 }

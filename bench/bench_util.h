@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 
 #include "base/task_pool.h"
@@ -63,8 +64,8 @@ class BenchJsonWriter {
 
   /// Embeds the profiler's containment-cost summary: the headline tail
   /// quantiles as flat "profile.containment.*" keys (the fields
-  /// BENCH_obs.json trajectories track) plus the full profile — summary
-  /// and top-K slowest checks — under "profile".
+  /// BENCH_parallel.json trajectories track) plus the full profile —
+  /// summary and top-K slowest checks — under "profile".
   void AddProfileSummary() {
     QueryProfileSnapshot snap = QueryProfiler::Default().TakeSnapshot();
     obj_.AddUint("profile.containment.checks", snap.checks);
@@ -139,39 +140,19 @@ query Q() :- T(y)
 )";
 }
 
-// Boolean emptiness queries over a chain schema. The head query is
-// answerable through the (possibly bounded) head method as an existence
-// check; the tail query is not (tail tuples need not descend from the
-// head).
-inline ConjunctiveQuery ChainEmptinessQuery(const ServiceSchema& schema,
-                                            RelationId relation) {
-  std::vector<Term> args;
-  Universe& u = schema.universe();
-  for (uint32_t p = 0; p < u.Arity(relation); ++p) {
-    args.push_back(u.FreshVariable());
-  }
-  return ConjunctiveQuery::Boolean({Atom(relation, std::move(args))});
-}
-inline ConjunctiveQuery ChainHeadQuery(const ServiceSchema& schema) {
-  return ChainEmptinessQuery(schema, schema.relations().front());
-}
-inline ConjunctiveQuery ChainTailQuery(const ServiceSchema& schema) {
-  return ChainEmptinessQuery(schema, schema.relations().back());
-}
-
 inline const char* ShortVerdict(const StatusOr<Decision>& d) {
   if (!d.ok()) return "error";
   if (!d->complete) return "unknown";
   return AnswerabilityName(d->verdict);
 }
 
-// ---- Parallel sweep instrumentation (docs/PERFORMANCE.md). ----
+// ---- The timed parallel sweep (docs/PERFORMANCE.md). ----
 //
-// Every bench binary runs a deterministic decision sweep twice — serially
-// and at the job count from RBDA_JOBS — verifies the two produce the same
-// verdict tally (the determinism contract), and emits wall time plus
-// speedup-vs-serial into its BENCH_JSON line. tools/bench_all.sh collects
-// those lines into BENCH_parallel.json.
+// table1_summary runs its six-row Table 1 sweep twice — serially and at
+// the job count from RBDA_JOBS — verifies the two produce the same tallies
+// (the determinism contract), and records wall time plus speedup-vs-serial
+// in its BENCH_JSON line. The other bench binaries print deterministic
+// tables only.
 
 /// Job count for bench binaries: RBDA_JOBS when set, else 1.
 inline size_t BenchJobs() { return ResolveJobs(0); }
@@ -185,91 +166,6 @@ inline DecisionOptions BenchDecideOptions() {
   return options;
 }
 
-/// Verdict tally of a decision sweep; identical serial vs parallel.
-struct SweepResult {
-  int answerable = 0;
-  int not_answerable = 0;
-  int unknown = 0;
-  int errors = 0;
-
-  bool operator==(const SweepResult& o) const {
-    return answerable == o.answerable &&
-           not_answerable == o.not_answerable && unknown == o.unknown &&
-           errors == o.errors;
-  }
-};
-
-/// The schema families the standard sweep draws from (mirrors the Table 1
-/// fragments the row binaries cover).
-enum class SweepFamily { kId, kFd, kUidFd, kChain };
-
-/// Decides `seeds` generated (schema, query) cases of `family` across
-/// `jobs` workers. Each case builds its own Universe and Rng from its
-/// index, so cases are independent and the tally is job-count-invariant.
-inline SweepResult DecisionSweep(SweepFamily family, uint64_t seeds,
-                                 size_t jobs, const std::string& prefix) {
-  auto one_case = [family, &prefix](size_t i) -> StatusOr<SweepResult> {
-    uint64_t seed = static_cast<uint64_t>(i) + 1;
-    Universe u;
-    Rng rng(seed * 13 + 7);
-    ServiceSchema schema = [&]() {
-      if (family == SweepFamily::kChain) {
-        return GenerateChainSchema(&u, /*length=*/2 + seed % 3, /*arity=*/2,
-                                   /*bounded_prefix=*/1, /*bound=*/5,
-                                   prefix + std::to_string(seed));
-      }
-      SchemaFamilyOptions fam;
-      fam.num_relations = 3;
-      fam.min_arity = family == SweepFamily::kId ? 1 : 2;
-      fam.max_arity = 3;
-      fam.num_constraints = 3;
-      fam.num_methods = 3;
-      fam.prefix = prefix + std::to_string(seed);
-      switch (family) {
-        case SweepFamily::kFd:
-          return GenerateFdSchema(&u, fam, &rng);
-        case SweepFamily::kUidFd:
-          fam.max_arity = 2;
-          return GenerateUidFdSchema(&u, fam, &rng);
-        default:
-          return GenerateIdSchema(&u, fam, &rng);
-      }
-    }();
-    ConjunctiveQuery q = GenerateQuery(schema, 2, 3, &rng);
-    DecisionOptions options;
-    options.linear_depth_cap = 400;
-    // Goal-directed by default; RBDA_PRUNE=0 runs the ablation sweep.
-    options.chase.prune_to_goal = ResolvePrune(-1);
-    StatusOr<Decision> d = DecideMonotoneAnswerability(schema, q, options);
-    SweepResult r;
-    if (!d.ok()) {
-      ++r.errors;
-    } else if (!d->complete) {
-      ++r.unknown;
-    } else if (d->verdict == Answerability::kAnswerable) {
-      ++r.answerable;
-    } else {
-      ++r.not_answerable;
-    }
-    return r;
-  };
-
-  SweepResult total;
-  StatusOr<std::vector<SweepResult>> cases =
-      ParallelMap<SweepResult>(seeds, jobs, one_case);
-  if (!cases.ok()) {
-    total.errors = static_cast<int>(seeds);
-    return total;
-  }
-  for (const SweepResult& r : *cases) {
-    total.answerable += r.answerable;
-    total.not_answerable += r.not_answerable;
-    total.unknown += r.unknown;
-    total.errors += r.errors;
-  }
-  return total;
-}
-
 /// Runs `sweep(jobs)` serially and at `jobs` workers, timing each run,
 /// and records under "sweep.*": the job count, both wall times,
 /// speedup-vs-serial, and whether the results matched. Returns the serial
@@ -279,9 +175,9 @@ inline SweepResult DecisionSweep(SweepFamily family, uint64_t seeds,
 /// serial pass, so both timed legs run against the same warm memoization
 /// state. Clearing between the legs instead (the old behavior) forced
 /// every repeated identical check back to a full chase — the decide#19 /
-/// decide#35 cache-miss regression BENCH_obs.json flagged — and timed the
-/// serial leg cold against a parallel leg whose workers race to repopulate
-/// the cache, skewing the speedup both ways.
+/// decide#35 cache-miss regression the bench profile flagged — and timed
+/// the serial leg cold against a parallel leg whose workers race to
+/// repopulate the cache, skewing the speedup both ways.
 template <typename T>
 T TimedParallelSweep(BenchJsonWriter* writer, size_t jobs,
                      const std::function<T(size_t)>& sweep) {
@@ -312,37 +208,6 @@ T TimedParallelSweep(BenchJsonWriter* writer, size_t jobs,
   writer->Add("sweep.parallel_matches_serial",
               static_cast<uint64_t>(serial == parallel ? 1 : 0));
   return serial;
-}
-
-/// The standard instrumented sweep for a bench binary: DecisionSweep of
-/// `family` timed serial-vs-RBDA_JOBS, recorded into `writer`.
-inline void EmitParallelSweep(BenchJsonWriter* writer, SweepFamily family,
-                              uint64_t seeds, const std::string& prefix) {
-  size_t jobs = BenchJobs();
-  SweepResult result = TimedParallelSweep<SweepResult>(
-      writer, jobs, [family, seeds, &prefix](size_t j) {
-        return DecisionSweep(family, seeds, j, prefix);
-      });
-  writer->Add("sweep.cases", seeds);
-  writer->Add("sweep.answerable", static_cast<uint64_t>(result.answerable));
-  writer->Add("sweep.not_answerable",
-              static_cast<uint64_t>(result.not_answerable));
-  writer->Add("sweep.unknown", static_cast<uint64_t>(result.unknown));
-  writer->Add("sweep.errors", static_cast<uint64_t>(result.errors));
-}
-
-/// PrintBenchMetricsJson plus the standard parallel sweep: the BENCH_JSON
-/// line carries the sweep timing fields and then the metrics snapshot.
-inline void PrintBenchMetricsJsonWithSweep(std::string_view bench_name,
-                                           SweepFamily family,
-                                           uint64_t seeds,
-                                           const std::string& prefix) {
-  BenchJsonWriter writer(bench_name);
-  EmitParallelSweep(&writer, family, seeds, prefix);
-  writer.AddPeakRss();
-  writer.AddProfileSummary();
-  writer.AddMetricsSnapshot();
-  writer.Print();
 }
 
 }  // namespace rbda

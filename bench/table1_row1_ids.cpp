@@ -5,12 +5,10 @@
 //  * verdicts of the paper's university examples for result bounds
 //    k ∈ {1, 5, 100}: identical across k (existence-check simplifiability
 //    means the bound value never matters);
-//  * decision cost as the ID width w grows at fixed schema size — the
-//    m^(w+1) factor of the linearized signature drives the exponential
-//    behaviour behind the EXPTIME bound;
-//  * decision cost along ID chains of growing length (chase depth).
-#include <benchmark/benchmark.h>
-
+//  * the linearization's size as the ID width w grows at fixed schema size:
+//    the number of linearized rules (Γ) and the Johnson–Klug depth bound.
+//    The m^(w+1) factor of the linearized signature drives the exponential
+//    behaviour behind the EXPTIME bound.
 #include "bench_util.h"
 
 namespace rbda {
@@ -36,74 +34,46 @@ void VerdictTable() {
               "always answerable; the value of k is irrelevant.\n\n");
 }
 
-// Decision cost as ID width grows (relations of arity w+1, IDs of width w).
-void BM_DecideVsIdWidth(benchmark::State& state) {
-  size_t width = state.range(0);
-  Universe u;
-  Rng rng(42);
-  SchemaFamilyOptions options;
-  options.num_relations = 3;
-  options.min_arity = static_cast<uint32_t>(width);
-  options.max_arity = static_cast<uint32_t>(width + 1);
-  options.num_constraints = 3;
-  options.num_methods = 3;
-  options.max_id_width = width;
-  options.prefix = "W" + std::to_string(width);
-  ServiceSchema schema = GenerateIdSchema(&u, options, &rng);
-  ConjunctiveQuery q = GenerateQuery(schema, 2, 3, &rng);
-
-  DecisionOptions d;
-  d.linear_depth_cap = 2000;
-  uint64_t gamma = 0, depth_bound = 0;
-  for (auto _ : state) {
-    ClearContainmentCache();
+// Linearization size as ID width grows (relations of arity w..w+1, IDs of
+// width w).
+void WidthTable() {
+  std::printf("ID width w at 3 relations / 3 IDs: linearized rules and "
+              "Johnson–Klug depth bound\n");
+  std::printf("%-6s %-10s %-12s %-14s\n", "w", "lin. rules", "depth bound",
+              "verdict");
+  for (size_t width = 1; width <= 4; ++width) {
+    Universe u;
+    Rng rng(42);
+    SchemaFamilyOptions options;
+    options.num_relations = 3;
+    options.min_arity = static_cast<uint32_t>(width);
+    options.max_arity = static_cast<uint32_t>(width + 1);
+    options.num_constraints = 3;
+    options.num_methods = 3;
+    options.max_id_width = width;
+    options.prefix = "W" + std::to_string(width);
+    ServiceSchema schema = GenerateIdSchema(&u, options, &rng);
+    ConjunctiveQuery q = GenerateQuery(schema, 2, 3, &rng);
+    DecisionOptions d;
+    d.linear_depth_cap = 2000;
     StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
-    benchmark::DoNotOptimize(decision);
-    if (decision.ok()) {
-      gamma = decision->gamma_size;
-      depth_bound = decision->depth_bound;
-    }
+    std::printf("%-6zu %-10zu %-12llu %-14s\n", width,
+                decision.ok() ? decision->gamma_size : 0,
+                decision.ok()
+                    ? static_cast<unsigned long long>(decision->depth_bound)
+                    : 0,
+                ShortVerdict(decision));
   }
-  state.counters["lin_rules"] = static_cast<double>(gamma);
-  state.counters["jk_depth_bound"] = static_cast<double>(depth_bound);
+  std::printf("Expected shape: rules and depth bound blow up with w (the "
+              "m^(w+1) linearized signature).\n\n");
 }
-BENCHMARK(BM_DecideVsIdWidth)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
-
-// Decision cost along chains R0 ⊆ R1 ⊆ ... (bounded first method).
-void BM_DecideVsChainLength(benchmark::State& state) {
-  size_t length = state.range(0);
-  Universe u;
-  ServiceSchema schema = GenerateChainSchema(
-      &u, length, /*arity=*/2, /*bounded_prefix=*/1, /*bound=*/7,
-      "Chain" + std::to_string(length));
-  ConjunctiveQuery q = ChainHeadQuery(schema);
-  DecisionOptions d;
-  d.linear_depth_cap = 5000;
-  Answerability verdict = Answerability::kUnknown;
-  for (auto _ : state) {
-    ClearContainmentCache();
-    StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
-    benchmark::DoNotOptimize(decision);
-    if (decision.ok()) verdict = decision->verdict;
-  }
-  // Emptiness of the chain head is an existence check on the bounded head
-  // method, so it stays answerable at every length; the chase still has to
-  // explore the whole chain, which is what the series measures.
-  state.counters["answerable"] =
-      verdict == Answerability::kAnswerable ? 1 : 0;
-}
-BENCHMARK(BM_DecideVsChainLength)
-    ->DenseRange(2, 12, 2)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rbda
 
-int main(int argc, char** argv) {
+int main() {
   rbda::VerdictTable();
-  rbda::PrintBenchMetricsJsonWithSweep(
-      "table1_row1_ids", rbda::SweepFamily::kId, 16, "P1");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  rbda::WidthTable();
+  rbda::PrintBenchMetricsJson("table1_row1_ids");
   return 0;
 }

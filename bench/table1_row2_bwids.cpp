@@ -2,16 +2,12 @@
 // NP-complete (Thm 5.4) via linearization (Prop 5.5).
 //
 // Reproduced series:
-//  * the linearization crossover: decision cost of the linearized
-//    Johnson–Klug engine vs the generic chase engine as the schema grows at
-//    fixed width 1. The generic chase fails to terminate on cyclic UID
-//    schemas (reports "unknown"), while the linearized engine always
-//    decides — the qualitative "who wins" of Thm 5.4 vs the naive
-//    2EXPTIME route;
 //  * decision completeness rates of both engines over random width-1
-//    schemas.
-#include <benchmark/benchmark.h>
-
+//    schemas;
+//  * both engines on value-shifting cyclic chains, whose restricted chase
+//    never terminates. The query is refuted at the relation level: the
+//    signature prefilter of goal-directed containment decides it for both
+//    engines before any chase round runs.
 #include "bench_util.h"
 
 namespace rbda {
@@ -19,8 +15,7 @@ namespace {
 
 // A value-shifting cyclic chain: R_i(x,y) -> ∃z R_{i+1}(y,z) and back from
 // the tail to the head. Every chase step mints a fresh exported value, so
-// the restricted chase never terminates; only the depth-bounded
-// Johnson–Klug engine can prove non-answerability (Prop 5.6).
+// the restricted chase never terminates.
 ServiceSchema CyclicChain(Universe* u, size_t length, const std::string& pfx) {
   ServiceSchema schema(u);
   std::vector<RelationId> relations;
@@ -45,8 +40,7 @@ ServiceSchema CyclicChain(Universe* u, size_t length, const std::string& pfx) {
   }
   // An unconstrained side relation with a lookup method: conjoining it to
   // the query yields a NON-answerable instance whose chase is infinite —
-  // exactly where a budgeted proof search must give up while the
-  // depth-bounded engine still refutes.
+  // where a budgeted chase alone must give up.
   RelationId z = *schema.AddRelation(pfx + "_Z", 2);
   AccessMethod zl{pfx + "_mz", z, {0}, BoundKind::kNone, 0};
   RBDA_CHECK(schema.AddMethod(std::move(zl)).ok());
@@ -55,7 +49,7 @@ ServiceSchema CyclicChain(Universe* u, size_t length, const std::string& pfx) {
 
 // Q := R_tail(a,b) ∧ Z(a,b): the tail atom ignites the infinite cyclic
 // chase; the Z atom can never transfer (nothing is accessible), so the
-// containment fails — but only the Johnson–Klug engine can say so.
+// containment fails.
 ConjunctiveQuery CyclicRefutationQuery(const ServiceSchema& schema) {
   Universe& u = schema.universe();
   Term a = u.FreshVariable(), b = u.FreshVariable();
@@ -102,87 +96,50 @@ void CompletenessTable() {
   std::printf("  linearized JK engine : %d/40 decided\n", lin_complete);
   std::printf("  generic chase engine : %d/40 decided\n", gen_complete);
   std::printf("  agreement when both decided: %d/%d\n", agreements, both);
-  std::printf("Expected shape: the linearized engine decides everything; "
-              "the generic engine gives up on cyclic schemas.\n\n");
+  std::printf("Expected shape: both engines decide every width-1 schema "
+              "and agree.\n\n");
 }
 
-void BM_LinearizedOnCyclicChain(benchmark::State& state) {
-  size_t length = state.range(0);
-  Universe u;
-  ServiceSchema schema = CyclicChain(&u, length, "LC" + std::to_string(length));
-  ConjunctiveQuery q = CyclicRefutationQuery(schema);
-  DecisionOptions d;
-  d.linear_depth_cap = 4000;
-  int complete = 0;
-  for (auto _ : state) {
-    ClearContainmentCache();
-    StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
-    benchmark::DoNotOptimize(decision);
-    complete = decision.ok() && decision->complete ? 1 : 0;
+// Both engines on the cyclic chains. "generic rounds" is the number of
+// chase rounds the generic engine ran before deciding.
+void CyclicChainTable() {
+  std::printf("Value-shifting cyclic chains (infinite restricted chase, "
+              "non-answerable query)\n");
+  std::printf("%-8s %-24s %-24s %-14s\n", "length", "linearized JK engine",
+              "generic chase engine", "generic rounds");
+  DecisionOptions lin;
+  lin.linear_depth_cap = 4000;
+  DecisionOptions gen;
+  gen.use_linearization = false;
+  gen.chase.max_rounds = 40;
+  gen.chase.max_facts = 20000;
+  for (size_t length = 2; length <= 8; length += 2) {
+    auto decide = [length](const DecisionOptions& options,
+                           const std::string& pfx) {
+      Universe u;
+      ServiceSchema schema = CyclicChain(&u, length, pfx);
+      return DecideMonotoneAnswerability(schema,
+                                         CyclicRefutationQuery(schema),
+                                         options);
+    };
+    StatusOr<Decision> a = decide(lin, "LC" + std::to_string(length));
+    StatusOr<Decision> b = decide(gen, "GC" + std::to_string(length));
+    std::printf("%-8zu %-24s %-24s %-14llu\n", length, ShortVerdict(a),
+                ShortVerdict(b),
+                b.ok() ? static_cast<unsigned long long>(b->chase_rounds)
+                       : 0);
   }
-  state.counters["decided"] = complete;
+  std::printf("Expected shape: both engines decide not-answerable at every "
+              "length with 0 chase rounds — the signature prefilter refutes "
+              "the goal before either chase starts.\n\n");
 }
-BENCHMARK(BM_LinearizedOnCyclicChain)
-    ->DenseRange(2, 8, 2)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GenericOnCyclicChain(benchmark::State& state) {
-  size_t length = state.range(0);
-  Universe u;
-  ServiceSchema schema = CyclicChain(&u, length, "GC" + std::to_string(length));
-  ConjunctiveQuery q = CyclicRefutationQuery(schema);
-  DecisionOptions d;
-  d.use_linearization = false;
-  d.chase.max_rounds = 40;
-  d.chase.max_facts = 20000;
-  int complete = 0;
-  for (auto _ : state) {
-    ClearContainmentCache();
-    StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
-    benchmark::DoNotOptimize(decision);
-    complete = decision.ok() && decision->complete ? 1 : 0;
-  }
-  state.counters["decided"] = complete;
-}
-BENCHMARK(BM_GenericOnCyclicChain)
-    ->DenseRange(2, 8, 2)
-    ->Unit(benchmark::kMillisecond);
-
-// NP behaviour: at fixed width, cost grows tamely with the number of
-// relations.
-void BM_LinearizedVsSchemaSize(benchmark::State& state) {
-  size_t relations = state.range(0);
-  Universe u;
-  Rng rng(7);
-  SchemaFamilyOptions options;
-  options.num_relations = relations;
-  options.max_arity = 2;
-  options.num_constraints = relations;
-  options.num_methods = relations;
-  options.max_id_width = 1;
-  options.prefix = "S" + std::to_string(relations);
-  ServiceSchema schema = GenerateIdSchema(&u, options, &rng);
-  ConjunctiveQuery q = GenerateQuery(schema, 2, 2, &rng);
-  DecisionOptions d;
-  d.linear_depth_cap = 3000;
-  for (auto _ : state) {
-    ClearContainmentCache();
-    StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
-    benchmark::DoNotOptimize(decision);
-  }
-}
-BENCHMARK(BM_LinearizedVsSchemaSize)
-    ->DenseRange(2, 10, 2)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rbda
 
-int main(int argc, char** argv) {
+int main() {
   rbda::CompletenessTable();
-  rbda::PrintBenchMetricsJsonWithSweep(
-      "table1_row2_bwids", rbda::SweepFamily::kId, 16, "P2");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  rbda::CyclicChainTable();
+  rbda::PrintBenchMetricsJson("table1_row2_bwids");
   return 0;
 }

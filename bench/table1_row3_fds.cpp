@@ -4,9 +4,7 @@
 //  * the Example 1.5 verdict pair (determined address answerable, phone
 //    not) and its stability across bound values;
 //  * chase rounds stay polynomial (the heart of the Thm 5.2 NP bound):
-//    rounds and decision time vs relation arity and vs number of FDs.
-#include <benchmark/benchmark.h>
-
+//    rounds vs relation arity and vs number of FDs.
 #include "bench_util.h"
 
 namespace rbda {
@@ -44,13 +42,12 @@ void VerdictTable() {
               "for every k; the rest never is.\n\n");
 }
 
-// Wide relation with a key FD: id determines positions 1..arity-1.
-void BM_DecideVsArity(benchmark::State& state) {
-  uint32_t arity = static_cast<uint32_t>(state.range(0));
+// Wide relation with a key FD: id determines positions 1..arity-1; the
+// query asks for the full record of a known key.
+uint64_t RoundsAtArity(uint32_t arity) {
   Universe u;
   ServiceSchema schema(&u);
-  RelationId r =
-      *schema.AddRelation("Wide" + std::to_string(arity), arity);
+  RelationId r = *schema.AddRelation("Wide" + std::to_string(arity), arity);
   for (uint32_t p = 1; p < arity; ++p) {
     schema.constraints().fds.emplace_back(r, std::vector<uint32_t>{0}, p);
   }
@@ -61,33 +58,17 @@ void BM_DecideVsArity(benchmark::State& state) {
   m.bound_kind = BoundKind::kResultBound;
   m.bound = 1;
   RBDA_CHECK(schema.AddMethod(std::move(m)).ok());
-
-  // Query: the full record of a known key.
   std::vector<Term> args{u.Constant("key")};
   for (uint32_t p = 1; p < arity; ++p) {
     args.push_back(u.Constant("v" + std::to_string(p)));
   }
   ConjunctiveQuery q = ConjunctiveQuery::Boolean({Atom(r, std::move(args))});
-
-  uint64_t rounds = 0;
-  Answerability verdict = Answerability::kUnknown;
-  for (auto _ : state) {
-    ClearContainmentCache();
-    StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q);
-    benchmark::DoNotOptimize(decision);
-    if (decision.ok()) {
-      rounds = decision->chase_rounds;
-      verdict = decision->verdict;
-    }
-  }
-  state.counters["chase_rounds"] = static_cast<double>(rounds);
-  state.counters["answerable"] =
-      verdict == Answerability::kAnswerable ? 1 : 0;
+  StatusOr<Decision> d = DecideMonotoneAnswerability(schema, q);
+  return d.ok() ? d->chase_rounds : 0;
 }
-BENCHMARK(BM_DecideVsArity)->DenseRange(2, 10, 2)->Unit(benchmark::kMillisecond);
 
-void BM_DecideVsNumFds(benchmark::State& state) {
-  size_t num_fds = state.range(0);
+// Random FD schemas (3 relations of arity 3–4) with `num_fds` FDs.
+uint64_t RoundsAtNumFds(size_t num_fds) {
   Universe u;
   Rng rng(5);
   SchemaFamilyOptions options;
@@ -99,27 +80,29 @@ void BM_DecideVsNumFds(benchmark::State& state) {
   options.prefix = "N" + std::to_string(num_fds);
   ServiceSchema schema = GenerateFdSchema(&u, options, &rng);
   ConjunctiveQuery q = GenerateQuery(schema, 2, 3, &rng);
-  uint64_t rounds = 0;
-  for (auto _ : state) {
-    ClearContainmentCache();
-    StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q);
-    benchmark::DoNotOptimize(decision);
-    if (decision.ok()) rounds = decision->chase_rounds;
-  }
-  state.counters["chase_rounds"] = static_cast<double>(rounds);
+  StatusOr<Decision> d = DecideMonotoneAnswerability(schema, q);
+  return d.ok() ? d->chase_rounds : 0;
 }
-BENCHMARK(BM_DecideVsNumFds)
-    ->DenseRange(2, 10, 2)
-    ->Unit(benchmark::kMillisecond);
+
+void RoundsTable() {
+  std::printf("Chase rounds vs size (key FDs on one wide relation; random "
+              "FD schemas)\n");
+  std::printf("%-6s %-18s %-16s\n", "n", "rounds @ arity n",
+              "rounds @ n FDs");
+  for (uint32_t n = 2; n <= 10; n += 2) {
+    std::printf("%-6u %-18llu %-16llu\n", n,
+                static_cast<unsigned long long>(RoundsAtArity(n)),
+                static_cast<unsigned long long>(RoundsAtNumFds(n)));
+  }
+  std::printf("Expected shape: rounds stay at 1–2 however large n gets.\n\n");
+}
 
 }  // namespace
 }  // namespace rbda
 
-int main(int argc, char** argv) {
+int main() {
   rbda::VerdictTable();
-  rbda::PrintBenchMetricsJsonWithSweep(
-      "table1_row3_fds", rbda::SweepFamily::kFd, 16, "P3");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  rbda::RoundsTable();
+  rbda::PrintBenchMetricsJson("table1_row3_fds");
   return 0;
 }

@@ -4,11 +4,9 @@
 //
 // Reproduced series:
 //  * verdict stability across bound values (choice simplifiability);
-//  * cost of the separability pipeline vs schema size;
-//  * cost and effect of the finite closure: how often the finite variant
-//    upgrades a verdict on cyclic UID families.
-#include <benchmark/benchmark.h>
-
+//  * effect of the finite closure: how often the finite variant upgrades a
+//    verdict on cyclic UID families;
+//  * size of the finite closure vs schema size.
 #include "bench_util.h"
 #include "constraints/uid_reasoning.h"
 
@@ -96,68 +94,41 @@ query Q() :- R("c1", "c2")
                   : "UNEXPECTED");
 }
 
-void BM_SeparabilityPipeline(benchmark::State& state) {
-  size_t relations = state.range(0);
-  Universe u;
-  Rng rng(17);
-  SchemaFamilyOptions options;
-  options.num_relations = relations;
-  options.max_arity = 3;
-  options.num_constraints = relations;
-  options.num_methods = relations;
-  options.prefix = "UF" + std::to_string(relations);
-  ServiceSchema schema = GenerateUidFdSchema(&u, options, &rng);
-  ConjunctiveQuery q = GenerateQuery(schema, 2, 3, &rng);
-  DecisionOptions d;
-  d.linear_depth_cap = 1500;
-  for (auto _ : state) {
-    ClearContainmentCache();
-    StatusOr<Decision> decision = DecideMonotoneAnswerability(schema, q, d);
-    benchmark::DoNotOptimize(decision);
+// Finite-closure size on random UID+FD schemas with `relations` relations
+// and 2 × `relations` constraints.
+void ClosureSizeTable() {
+  std::printf("CKV finite closure on random UID+FD schemas\n");
+  std::printf("%-10s %-14s %-14s\n", "relations", "input deps",
+              "closure deps");
+  for (size_t relations = 2; relations <= 10; relations += 2) {
+    Universe u;
+    Rng rng(23);
+    SchemaFamilyOptions options;
+    options.num_relations = relations;
+    options.max_arity = 3;
+    options.num_constraints = 2 * relations;
+    options.num_methods = 2;
+    options.prefix = "FC" + std::to_string(relations);
+    ServiceSchema schema = GenerateUidFdSchema(&u, options, &rng);
+    std::vector<Uid> uids;
+    for (const Tgd& tgd : schema.constraints().tgds) {
+      if (auto uid = UidFromTgd(tgd)) uids.push_back(*uid);
+    }
+    UidFdClosure closure = FiniteClosure(uids, schema.constraints().fds, u);
+    std::printf("%-10zu %-14zu %-14zu\n", relations,
+                uids.size() + schema.constraints().fds.size(),
+                closure.uids.size() + closure.fds.size());
   }
+  std::printf("Expected shape: the closure grows modestly with the "
+              "input.\n\n");
 }
-BENCHMARK(BM_SeparabilityPipeline)
-    ->DenseRange(2, 8, 2)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FiniteClosure(benchmark::State& state) {
-  size_t relations = state.range(0);
-  Universe u;
-  Rng rng(23);
-  SchemaFamilyOptions options;
-  options.num_relations = relations;
-  options.max_arity = 3;
-  options.num_constraints = 2 * relations;
-  options.num_methods = 2;
-  options.prefix = "FC" + std::to_string(relations);
-  ServiceSchema schema = GenerateUidFdSchema(&u, options, &rng);
-  std::vector<Uid> uids;
-  for (const Tgd& tgd : schema.constraints().tgds) {
-    if (auto uid = UidFromTgd(tgd)) uids.push_back(*uid);
-  }
-  size_t closure_size = 0;
-  for (auto _ : state) {
-    UidFdClosure closure =
-        FiniteClosure(uids, schema.constraints().fds, u);
-    benchmark::DoNotOptimize(closure);
-    closure_size = closure.uids.size() + closure.fds.size();
-  }
-  state.counters["closure_size"] = static_cast<double>(closure_size);
-  state.counters["input_size"] =
-      static_cast<double>(uids.size() + schema.constraints().fds.size());
-}
-BENCHMARK(BM_FiniteClosure)
-    ->DenseRange(2, 10, 2)
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace rbda
 
-int main(int argc, char** argv) {
+int main() {
   rbda::VerdictTable();
-  rbda::PrintBenchMetricsJsonWithSweep(
-      "table1_row4_uidfds", rbda::SweepFamily::kUidFd, 16, "P4");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  rbda::ClosureSizeTable();
+  rbda::PrintBenchMetricsJson("table1_row4_uidfds");
   return 0;
 }

@@ -11,10 +11,8 @@
 //    returns a definite verdict within budget (1.0 for the decidable rows,
 //    < 1 possible for the TGD row, matching undecidability).
 //
-// This binary prints the table; the per-row binaries carry the scaling
-// series.
-#include <benchmark/benchmark.h>
-
+// This binary prints the table and runs the one timed serial-vs-parallel
+// sweep; the per-row binaries carry each row's own evidence tables.
 #include "bench_util.h"
 #include "core/simplification.h"
 
@@ -163,6 +161,9 @@ RowStats UidFdRow(size_t jobs) {
   });
 }
 
+// Example 6.1 across bounds. Both TGD rows of Table 1 (equality-free FO and
+// frontier-guarded TGDs) report this one sweep: Example 6.1's TGDs lie in
+// both fragments.
 RowStats TgdRow(size_t jobs) {
   constexpr uint32_t kBounds[] = {1u, 7u, 50u};
   return SeedSweep(jobs, std::size(kBounds), [&](uint64_t seed) {
@@ -179,14 +180,14 @@ RowStats TgdRow(size_t jobs) {
   });
 }
 
-// All six Table 1 rows at a given job count — the unit the serial-vs-
-// parallel sweep timing runs over.
+// All six Table 1 rows (the two TGD rows share one sweep) at a given job
+// count — the unit the serial-vs-parallel sweep timing runs over.
 struct AllRows {
-  RowStats ids, bwids, fds, uidfds, eqfree, fgtgds;
+  RowStats ids, bwids, fds, uidfds, tgds;
 
   bool operator==(const AllRows& o) const {
     return ids == o.ids && bwids == o.bwids && fds == o.fds &&
-           uidfds == o.uidfds && eqfree == o.eqfree && fgtgds == o.fgtgds;
+           uidfds == o.uidfds && tgds == o.tgds;
   }
 };
 
@@ -196,8 +197,7 @@ AllRows ComputeAllRows(size_t jobs) {
   rows.bwids = BwIdsRow(jobs);
   rows.fds = FdsRow(jobs);
   rows.uidfds = UidFdRow(jobs);
-  rows.eqfree = TgdRow(jobs);
-  rows.fgtgds = TgdRow(jobs);
+  rows.tgds = TgdRow(jobs);
   return rows;
 }
 
@@ -229,8 +229,7 @@ void Table1() {
   const RowStats& bwids = rows.bwids;
   const RowStats& fds = rows.fds;
   const RowStats& uidfds = rows.uidfds;
-  const RowStats& eqfree = rows.eqfree;
-  const RowStats& fgtgds = rows.fgtgds;
+  const RowStats& tgds = rows.tgds;
   PrintRow("IDs", "Existence-check (Thm 4.2)", "EXPTIME-c (Thm 5.3)", ids);
   PrintRow("Bounded-width IDs", "Existence-check (see above)",
            "NP-c (Thm 5.4, lineariz.)", bwids);
@@ -238,9 +237,9 @@ void Table1() {
   PrintRow("FDs and UIDs", "Choice (Thm 6.4)", "NP-hard, in EXPTIME (7.2)",
            uidfds);
   PrintRow("Equality-free FO", "Choice (Thm 6.3)",
-           "Undecidable (Prop 8.2)", eqfree);
+           "Undecidable (Prop 8.2)", tgds);
   PrintRow("Frontier-guarded TGDs", "Choice (see above)",
-           "2EXPTIME-c (Thm 7.1)", fgtgds);
+           "2EXPTIME-c (Thm 7.1)", tgds);
 
   auto add_row = [&writer](const std::string& key, const RowStats& stats) {
     writer.Add(key + ".agree", stats.agree);
@@ -252,12 +251,8 @@ void Table1() {
   add_row("bwids", bwids);
   add_row("fds", fds);
   add_row("uidfds", uidfds);
-  add_row("eqfree", eqfree);
-  add_row("fgtgds", fgtgds);
-  writer.AddPeakRss();
-  writer.AddProfileSummary();
-  writer.AddMetricsSnapshot();
-  writer.Print();
+  add_row("eqfree", tgds);
+  add_row("fgtgds", tgds);
 
   std::printf("\nCounterexample rows (simplification must FAIL where the "
               "paper says so):\n");
@@ -279,39 +274,17 @@ void Table1() {
                     : "UNEXPECTED");
   }
   std::printf("\n");
-}
 
-void BM_Table1RegenerationLite(benchmark::State& state) {
-  // One representative validation per row (the full table runs in main()).
-  for (auto _ : state) {
-    // Identical regeneration each iteration: clear the memoization cache so
-    // the series measures the pipeline, not a cache lookup.
-    ClearContainmentCache();
-    Universe u;
-    Rng rng(3);
-    SchemaFamilyOptions fam;
-    fam.num_relations = 3;
-    fam.max_arity = 2;
-    fam.num_constraints = 3;
-    fam.num_methods = 3;
-    fam.prefix = "L";
-    ServiceSchema schema = GenerateIdSchema(&u, fam, &rng);
-    ConjunctiveQuery q = GenerateQuery(schema, 2, 2, &rng);
-    RowStats stats;
-    DecisionOptions options = BenchDecideOptions();
-    options.linear_depth_cap = 400;
-    Compare(schema, ExistenceCheckSimplification(schema), q, options, &stats);
-    benchmark::DoNotOptimize(stats);
-  }
+  writer.AddPeakRss();
+  writer.AddProfileSummary();
+  writer.AddMetricsSnapshot();
+  writer.Print();
 }
-BENCHMARK(BM_Table1RegenerationLite)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rbda
 
-int main(int argc, char** argv) {
+int main() {
   rbda::Table1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

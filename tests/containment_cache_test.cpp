@@ -222,7 +222,7 @@ TEST_F(ContainmentCacheTest, CachedMatchesUncached) {
   EXPECT_EQ(miss, hit);
 }
 
-// Regression for the decide#19/#35 cache-miss pair BENCH_obs.json
+// Regression for the decide#19/#35 cache-miss pair the bench profile
 // surfaced: TimedParallelSweep used to ClearContainmentCache between its
 // serial and parallel legs, so a check repeated across legs re-chased from
 // scratch. Contract now: one clear + one untimed prewarm pass, then both

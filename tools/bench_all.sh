@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Runs every bench binary's deterministic table + parallel sweep and
-# collects the BENCH_JSON lines into BENCH_parallel.json at the repo root
-# (one JSON object per line; see EXPERIMENTS.md).
+# Runs every bench binary's deterministic tables and collects the
+# BENCH_JSON lines into BENCH_parallel.json at the repo root (one JSON
+# object per line; see EXPERIMENTS.md).
 #
-# Each binary times its sweep twice — serially and at $JOBS workers (the
-# sweep.* fields: jobs, serial_us, parallel_us, speedup,
+# table1_summary times its Table 1 sweep twice — serially and at $JOBS
+# workers (the sweep.* fields: jobs, serial_us, parallel_us, speedup,
 # parallel_matches_serial) — so the file records both the measured speedup
 # and the determinism check on the machine that produced it.
 #
@@ -33,7 +33,6 @@ BENCHES=(
   ablation_naive_vs_simplified
   ablation_elimub
   ablation_proof_plans
-  runtime_plans
 )
 
 for bench in "${BENCHES[@]}"; do
@@ -47,9 +46,7 @@ done
 : > "$OUT"
 for bench in "${BENCHES[@]}"; do
   echo "== $bench (RBDA_JOBS=$JOBS)" >&2
-  # --benchmark_filter=NONE skips the google-benchmark scaling series; the
-  # deterministic table + sweep is the part BENCH_parallel.json records.
-  RBDA_JOBS="$JOBS" "$BUILD_DIR/bench/$bench" --benchmark_filter=NONE \
+  RBDA_JOBS="$JOBS" "$BUILD_DIR/bench/$bench" \
     | sed -n 's/^BENCH_JSON //p' >> "$OUT"
 done
 
