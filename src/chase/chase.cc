@@ -25,10 +25,10 @@ const char* ChaseExhaustedName(ChaseExhausted e) {
 
 namespace {
 
-// Handles into the default registry, resolved once per process. Goal
-// checks count under the containment.* namespace: testing Q' against the
-// chased instance IS the homomorphism check the containment engines are
-// built from (docs/OBSERVABILITY.md).
+// Handles into the default registry, resolved once per process. Goal and
+// activeness checks count under the containment.* namespace: testing Q'
+// (or a TGD head) against the chased instance IS the homomorphism check
+// containment is built from (docs/OBSERVABILITY.md).
 struct ChaseMetrics {
   Counter* runs;
   Counter* rounds;
@@ -43,6 +43,7 @@ struct ChaseMetrics {
   Counter* exhausted_facts;
   Counter* hom_checks;
   Counter* hom_checks_ok;
+  Counter* activeness_checks;
   Distribution* run_us;
   Distribution* rounds_per_run;
   Distribution* delta_size;
@@ -65,6 +66,7 @@ const ChaseMetrics& Metrics() {
         r.GetCounter("chase.exhausted.facts"),
         r.GetCounter("containment.hom_checks"),
         r.GetCounter("containment.hom_checks.succeeded"),
+        r.GetCounter("containment.activeness_checks"),
         r.GetDistribution("chase.run_us"),
         r.GetDistribution("chase.rounds_per_run"),
         r.GetDistribution("chase.delta.size"),
@@ -98,18 +100,30 @@ class Engine {
         options_(options),
         rules_(rules) {
     result_.instance = start;
-    if (options_.relevant_relations != nullptr) {
-      // Goal-directed pruning (chase/relevance.h): resolve the per-index
-      // enabled bits once. Pruned constraints are skipped in place so
-      // ChaseStep::tgd_index keeps indexing the caller's ConstraintSet.
-      const std::vector<bool>& relevant = *options_.relevant_relations;
-      tgd_enabled_.reserve(constraints_.tgds.size());
-      for (const Tgd& tgd : constraints_.tgds) {
-        tgd_enabled_.push_back(TgdIsRelevant(tgd, relevant));
+    // Goal-directed pruning (chase/relevance.h) skips constraints in place,
+    // so ChaseStep::tgd_index keeps indexing the caller's ConstraintSet.
+    const std::vector<bool>* relevant = options_.relevant_relations;
+    tgds_.resize(constraints_.tgds.size());
+    for (size_t i = 0; i < constraints_.tgds.size(); ++i) {
+      const Tgd& tgd = constraints_.tgds[i];
+      if (relevant != nullptr && !TgdIsRelevant(tgd, *relevant)) continue;
+      TgdInfo& info = tgds_[i];
+      info.exported = tgd.ExportedVariables();
+      info.existential = tgd.ExistentialVariables();
+      const std::vector<Atom>& body = tgd.body();
+      for (size_t k = 0; k < body.size(); ++k) {
+        std::vector<Atom> rest = body;
+        rest.erase(rest.begin() + static_cast<ptrdiff_t>(k));
+        info.rest.push_back(std::move(rest));
+        // Appended in (TGD, atom) order, the order a pivot visits them.
+        pivot_atoms_[body[k].relation].push_back(
+            {static_cast<uint32_t>(i), static_cast<uint32_t>(k)});
       }
+    }
+    if (relevant != nullptr) {
       rule_enabled_.reserve(rules_.size());
       for (const CardinalityRule& rule : rules_) {
-        rule_enabled_.push_back(CardinalityRuleIsRelevant(rule, relevant));
+        rule_enabled_.push_back(CardinalityRuleIsRelevant(rule, *relevant));
       }
     }
   }
@@ -190,7 +204,17 @@ class Engine {
       } else {
         Metrics().delta_full_rounds->IncrementCell();
       }
-      uint64_t fired = FireTgdRound(round, delta);
+      // The pivots: the previous round's new facts on a delta round (the
+      // frontier, already in creation order), every fact otherwise.
+      std::vector<FactRef> pivots;
+      if (semi) {
+        pivots = std::move(frontier_);
+      } else {
+        pivots.reserve(result_.instance.NumFacts());
+        result_.instance.ForEachFact([&](FactRef f) { pivots.push_back(f); });
+      }
+      frontier_.clear();
+      uint64_t fired = FireTgdRound(round, pivots);
       if (!budget_tripped_) fired += FireCardinalityRound(delta);
       if (TraceEnabled()) {
         TraceEventRecord(
@@ -232,90 +256,141 @@ class Engine {
   }
 
  private:
-  // Fires all TGD triggers that are active at the start of the round
-  // (re-checking activeness right before each firing). When `delta` is
-  // non-null, only enumerates triggers with at least one body atom in the
-  // delta (semi-naive); pre-delta triggers were handled in earlier rounds.
-  // Stops early (budget_tripped_) when a firing pushes the instance past
-  // the fact budget. Returns the number of firings.
-  uint64_t FireTgdRound(uint64_t round, const Instance::DeltaMark* delta) {
-    uint64_t fired = 0;
-    for (size_t i = 0; i < constraints_.tgds.size(); ++i) {
-      if (!tgd_enabled_.empty() && !tgd_enabled_[i]) continue;  // pruned
-      const Tgd& tgd = constraints_.tgds[i];
-      std::vector<Term> exported = tgd.ExportedVariables();
+  // Per-TGD data every pivot reads, resolved once per run. A pruned TGD
+  // keeps an empty entry and has no pivot atoms.
+  struct TgdInfo {
+    std::vector<Term> exported;
+    std::vector<Term> existential;
+    std::vector<std::vector<Atom>> rest;  // rest[k]: the body minus atom k
+  };
+  struct PivotAtom {
+    uint32_t tgd;
+    uint32_t atom;
+  };
 
-      // Materialize the triggers first: firing mutates the instance the
-      // enumeration walks over. Deduplicate triggers by their restriction
-      // to exported variables (two body matches with the same exported
-      // image need only one head witness).
-      std::set<std::vector<Term>> seen;
-      std::vector<Substitution> triggers;
-      auto collect = [&](const Substitution& sub) {
-        std::vector<Term> key;
-        key.reserve(exported.size());
-        for (Term x : exported) {
-          key.push_back(ApplyToTerm(sub, x));
-        }
-        if (seen.insert(std::move(key)).second) {
-          triggers.push_back(sub);
-        }
-        return true;
-      };
-      if (delta != nullptr) {
-        ForEachHomomorphismDelta(tgd.body(), result_.instance, nullptr,
-                                 *delta, collect);
-      } else {
-        ForEachHomomorphism(tgd.body(), result_.instance, nullptr, collect);
+  // Binds the non-constant terms of `atom` to the pivot's arguments;
+  // false when the two do not unify.
+  static bool BindToPivot(const Atom& atom, FactRef pivot, Substitution* sub) {
+    if (atom.args.size() != pivot.arity()) return false;
+    for (uint32_t p = 0; p < pivot.arity(); ++p) {
+      Term a = atom.args[p];
+      Term v = pivot.arg(p);
+      if (a.IsConstant()) {
+        if (a != v) return false;
+        continue;
       }
+      auto [it, inserted] = sub->emplace(a, v);
+      if (!inserted && it->second != v) return false;
+    }
+    return true;
+  }
 
-      for (const Substitution& trigger : triggers) {
-        Substitution seed;
-        for (Term x : exported) seed.emplace(x, ApplyToTerm(trigger, x));
-        if (FindHomomorphism(tgd.head(), result_.instance, &seed)
-                .has_value()) {
-          continue;  // not active: head witness already exists
+  // Fact-major round (see chase.h): for each pivot in creation order, each
+  // enabled TGD, and each body atom unifying with the pivot, enumerates
+  // the body matches with that atom bound to the pivot and fires the
+  // active ones at once. Every trigger is found: the round after its
+  // newest fact was created pivots on that fact. Facts created here join
+  // frontier_, the next round's pivots. Stops early (budget_tripped_) when
+  // a firing pushes the instance past the fact budget. Returns the number
+  // of firings.
+  uint64_t FireTgdRound(uint64_t round, const std::vector<FactRef>& pivots) {
+    uint64_t fired = 0;
+    std::vector<Substitution> triggers;
+    for (FactRef pivot : pivots) {
+      auto atoms = pivot_atoms_.find(pivot.relation());
+      if (atoms == pivot_atoms_.end()) continue;
+      for (const PivotAtom& pa : atoms->second) {
+        const Tgd& tgd = constraints_.tgds[pa.tgd];
+        const TgdInfo& info = tgds_[pa.tgd];
+        Substitution bound;
+        if (!BindToPivot(tgd.body()[pa.atom], pivot, &bound)) continue;
+        // Materialize the matches first: firing mutates the instance the
+        // enumeration walks over. Deduplicate them by their restriction to
+        // exported variables (two body matches with the same exported
+        // image need only one head witness).
+        triggers.clear();
+        const std::vector<Atom>& rest = info.rest[pa.atom];
+        if (rest.empty()) {
+          triggers.push_back(std::move(bound));
+        } else {
+          std::set<std::vector<Term>> seen;
+          ForEachHomomorphism(
+              rest, result_.instance, &bound, [&](const Substitution& sub) {
+                std::vector<Term> key;
+                key.reserve(info.exported.size());
+                for (Term x : info.exported) key.push_back(ApplyToTerm(sub, x));
+                if (seen.insert(std::move(key)).second) {
+                  triggers.push_back(sub);
+                }
+                return true;
+              });
         }
-        // Fire: extend the exported bindings with fresh nulls for the
-        // existential variables and add the head facts.
-        Substitution extension = seed;
-        for (Term y : tgd.ExistentialVariables()) {
-          extension.emplace(y, universe_->FreshNull());
-        }
-        std::vector<Fact> added;
-        for (const Atom& h : tgd.head()) {
-          Fact fact = ApplyToAtom(extension, h);
-          // The store packs the terms in place, so the spent Fact moves
-          // into the trace instead of being copied twice. A row-id-cap
-          // overflow degrades like a fact-budget trip (the caller sees
-          // kBudgetExceeded/kFacts) instead of aborting the process.
-          bool inserted = false;
-          if (!result_.instance.TryAddFact(fact, &inserted).ok()) {
-            budget_tripped_ = true;
-            return fired;
-          }
-          if (inserted) added.push_back(std::move(fact));
-        }
-        ++fired;
-        ++result_.tgd_steps;
-        Metrics().triggers_tgd->IncrementCell();
-        Metrics().facts_created->IncrementCell(added.size());
-        if (options_.record_trace) {
-          // Record the full body homomorphism plus the fresh witnesses so
-          // consumers (plan extraction) can reconstruct both the trigger
-          // facts and the created facts.
-          Substitution full = trigger;
-          for (const auto& [var, value] : extension) full.emplace(var, value);
-          result_.trace.push_back(
-              ChaseStep{i, std::move(full), std::move(added), round});
-        }
-        if (result_.instance.NumFacts() > options_.max_facts) {
-          budget_tripped_ = true;
-          return fired;
+        for (const Substitution& trigger : triggers) {
+          if (Fire(round, pa.tgd, trigger)) ++fired;
+          if (budget_tripped_) return fired;
         }
       }
     }
     return fired;
+  }
+
+  // Fires `trigger` of TGD `index` if it is active, re-checking activeness
+  // against the current instance. Returns true when it fired; sets
+  // budget_tripped_ when the firing pushed the instance past the fact
+  // budget or overflowed a row-id space.
+  bool Fire(uint64_t round, size_t index, const Substitution& trigger) {
+    const Tgd& tgd = constraints_.tgds[index];
+    const TgdInfo& info = tgds_[index];
+    Substitution seed;
+    for (Term x : info.exported) seed.emplace(x, ApplyToTerm(trigger, x));
+    Metrics().activeness_checks->IncrementCell();
+    if (FindHomomorphism(tgd.head(), result_.instance, &seed).has_value()) {
+      return false;  // not active: head witness already exists
+    }
+    // Extend the exported bindings with fresh nulls for the existential
+    // variables and add the head facts.
+    Substitution extension = std::move(seed);
+    for (Term y : info.existential) {
+      extension.emplace(y, universe_->FreshNull());
+    }
+    std::vector<Fact> added;
+    for (const Atom& h : tgd.head()) {
+      Fact fact = ApplyToAtom(extension, h);
+      // A row-id-cap overflow degrades like a fact-budget trip (the caller
+      // sees kBudgetExceeded/kFacts) instead of aborting the process.
+      bool inserted = false;
+      if (!result_.instance.TryAddFact(fact, &inserted).ok()) {
+        budget_tripped_ = true;
+        return false;
+      }
+      if (!inserted) continue;
+      frontier_.push_back(LastFactOf(fact.relation));
+      // The store packs the terms in place, so the spent Fact moves into
+      // the trace instead of being copied.
+      added.push_back(std::move(fact));
+    }
+    ++result_.tgd_steps;
+    Metrics().triggers_tgd->IncrementCell();
+    Metrics().facts_created->IncrementCell(added.size());
+    if (options_.record_trace) {
+      // Record the full body homomorphism plus the fresh witnesses so
+      // consumers (plan extraction) can reconstruct both the trigger facts
+      // and the created facts.
+      Substitution full = trigger;
+      for (const auto& [var, value] : extension) full.emplace(var, value);
+      result_.trace.push_back(
+          ChaseStep{index, std::move(full), std::move(added), round});
+    }
+    if (result_.instance.NumFacts() > options_.max_facts) {
+      budget_tripped_ = true;
+    }
+    return true;
+  }
+
+  // The row just appended to `relation` (stores are append-only).
+  FactRef LastFactOf(RelationId relation) const {
+    FactRange facts = result_.instance.FactsOf(relation);
+    return facts[facts.size() - 1];
   }
 
   // Fires the naive §3 cardinality-transfer rules: see CardinalityRule.
@@ -417,6 +492,7 @@ class Engine {
             budget_tripped_ = true;
             return fired;
           }
+          if (inserted) frontier_.push_back(LastFactOf(rule.target_rel));
           ++have;
           ++fired;
           Metrics().triggers_cardinality->IncrementCell();
@@ -508,9 +584,15 @@ class Engine {
   const ChaseOptions& options_;
   const std::vector<CardinalityRule>& rules_;
   ChaseResult result_;
-  // Per-index relevance filter (empty = fire everything); see ctor.
-  std::vector<bool> tgd_enabled_;
+  // Indexed like constraints_.tgds; see ctor.
+  std::vector<TgdInfo> tgds_;
+  // The enabled TGD body atoms over each relation, in (TGD, atom) order.
+  std::unordered_map<RelationId, std::vector<PivotAtom>> pivot_atoms_;
+  // Per-index relevance filter for rules_ (empty = fire everything).
   std::vector<bool> rule_enabled_;
+  // Facts created in the current round, in creation order: the next
+  // round's pivots unless an EGD rebuild invalidates them.
+  std::vector<FactRef> frontier_;
   // Set by the firing helpers when a firing pushed the instance past
   // options_.max_facts; RunImpl then stops with exhausted = kFacts.
   bool budget_tripped_ = false;

@@ -15,10 +15,6 @@ namespace {
 
 struct ContainmentMetrics {
   Counter* checks;
-  Counter* checks_linear;
-  Counter* hom_checks;
-  Counter* hom_checks_ok;
-  Counter* activeness_checks;
   Counter* cache_hits;
   Counter* cache_misses;
   Counter* cache_evictions;
@@ -27,7 +23,6 @@ struct ContainmentMetrics {
   // as misses (they did the full chase either way).
   Distribution* check_hit_us;
   Distribution* check_miss_us;
-  Distribution* linear_depth;
   // Goal-directed pruning (chase/relevance.h): checks that ran with
   // pruning on, total constraints the relevance analysis dropped, and
   // checks the signature prefilter answered without chasing.
@@ -37,13 +32,6 @@ struct ContainmentMetrics {
   // Checks answered by the witness-reuse countermodel (relevance.h):
   // a finite model refuting the goal without running the chase.
   Counter* prune_countermodel_hits;
-  // The linear engine bypasses chase.cc's Engine, so it feeds the shared
-  // chase.* counters itself (the registry hands back the same handles).
-  Counter* chase_rounds;
-  Counter* chase_triggers_tgd;
-  Counter* chase_facts_created;
-  Counter* chase_exhausted_rounds;
-  Counter* chase_exhausted_facts;
 };
 
 const ContainmentMetrics& Metrics() {
@@ -51,59 +39,37 @@ const ContainmentMetrics& Metrics() {
     MetricsRegistry& r = MetricsRegistry::Default();
     return ContainmentMetrics{
         r.GetCounter("containment.checks"),
-        r.GetCounter("containment.checks.linear"),
-        r.GetCounter("containment.hom_checks"),
-        r.GetCounter("containment.hom_checks.succeeded"),
-        r.GetCounter("containment.activeness_checks"),
         r.GetCounter("containment.cache.hits"),
         r.GetCounter("containment.cache.misses"),
         r.GetCounter("containment.cache.evictions"),
         r.GetDistribution("containment.check_us"),
         r.GetDistribution("containment.check_us.hit"),
         r.GetDistribution("containment.check_us.miss"),
-        r.GetDistribution("containment.linear.depth"),
         r.GetCounter("containment.prune.checks"),
         r.GetCounter("containment.prune.constraints_pruned"),
         r.GetCounter("containment.prune.prefilter_hits"),
         r.GetCounter("containment.prune.countermodel_hits"),
-        r.GetCounter("chase.rounds"),
-        r.GetCounter("chase.triggers.tgd"),
-        r.GetCounter("chase.facts_created"),
-        r.GetCounter("chase.exhausted.rounds"),
-        r.GetCounter("chase.exhausted.facts"),
     };
   }();
   return m;
 }
 
-// The saturate stage that answers a problem no earlier stage settled.
-enum class Engine : uint64_t {
-  kGeneric = 0,  // budgeted restricted chase (RunChaseUntil)
-  kLinear = 1,   // depth-bounded Johnson–Klug tree chase
-};
-
-// One containment problem as the pipeline sees it. The generic engine
-// chases `sigma` (whose TGDs are `tgds`) together with `rules`; the linear
-// engine fires `tgds` alone, and its `sigma` and `rules` are empty.
+// One containment problem as the pipeline sees it.
 struct Problem {
-  Engine engine;
   const Instance& start;
   const std::vector<Atom>& goal;
   const ConstraintSet& sigma;
-  const std::vector<Tgd>& tgds;
   const std::vector<CardinalityRule>& rules;
-  uint64_t max_rounds;  // chase rounds, or the linear depth bound
-  uint64_t max_facts;
   Universe* universe;
   const ChaseOptions& options;
 };
 
 // ---- Containment memoization (see the header comment). ----
 //
-// A key is a canonical word sequence: the engine tag, the start instance's
-// facts sorted (its in-memory order is hash-map dependent), then the goal,
-// constraints, and budgets in caller order with length prefixes so
-// adjacent sections cannot alias. Variables and nulls are renamed to dense
+// A key is a canonical word sequence: the start instance's facts sorted
+// (its in-memory order is hash-map dependent), then the goal, constraints,
+// and budgets in caller order with length prefixes so adjacent sections
+// cannot alias. Variables and nulls are renamed to dense
 // ids by first occurrence in that encoding order, so repeated Decide calls
 // — whose reductions mint FreshVariable/FreshNull terms at ever-increasing
 // ids but with identical structure — canonicalize to the same key.
@@ -170,16 +136,14 @@ void AppendInstance(const Instance& instance, TermCanonicalizer* canon,
   }
 }
 
-// The engine tag plus exactly the inputs the engine's saturate stage
-// reads.
+// Exactly the inputs the saturate stage reads.
 CacheKey MakeKey(const Problem& p) {
   CacheKey key;
   TermCanonicalizer canon;
-  key.push_back(static_cast<uint64_t>(p.engine));
   AppendInstance(p.start, &canon, &key);
   AppendAtoms(p.goal, &canon, &key);
-  key.push_back(p.tgds.size());
-  for (const Tgd& tgd : p.tgds) {
+  key.push_back(p.sigma.tgds.size());
+  for (const Tgd& tgd : p.sigma.tgds) {
     AppendAtoms(tgd.body(), &canon, &key);
     AppendAtoms(tgd.head(), &canon, &key);
   }
@@ -200,16 +164,15 @@ CacheKey MakeKey(const Problem& p) {
     key.push_back(rule.accessible_rel);
     key.push_back(rule.require_accessible ? 1 : 0);
   }
-  key.push_back(p.max_rounds);
-  key.push_back(p.max_facts);
   // Pruning is derived from (goal, Σ, rules) — all already in the key —
   // but the MODE must still be keyed: a pruned run can be definite where
-  // the unpruned run is kUnknown, so the two must not alias. Only the
-  // generic engine enumerates triggers semi-naively.
+  // the unpruned run is kUnknown, so the two must not alias.
   const ChaseOptions& o = p.options;
+  key.push_back(o.max_rounds);
+  key.push_back(o.max_facts);
   key.push_back((o.prune_to_goal ? 1u : 0u) |
                 (o.inject_overprune_for_testing ? 2u : 0u) |
-                (p.engine == Engine::kGeneric && o.use_semi_naive ? 4u : 0u));
+                (o.use_semi_naive ? 4u : 0u));
   return key;
 }
 
@@ -321,10 +284,9 @@ const char* VerdictName(ContainmentVerdict v) {
   return "?";
 }
 
-// Generic saturate stage: the budgeted restricted chase, stopping as soon
-// as the goal holds.
-ContainmentOutcome SaturateGeneric(const Problem& p,
-                                   const ChaseOptions& options) {
+// Saturate stage: the budgeted restricted chase, stopping as soon as the
+// goal holds. Any budget exit is kUnknown.
+ContainmentOutcome Saturate(const Problem& p, const ChaseOptions& options) {
   bool goal_reached = false;
   ChaseResult chase = RunChaseUntil(p.start, p.sigma, p.goal, p.universe,
                                     &goal_reached, options, p.rules);
@@ -345,165 +307,13 @@ ContainmentOutcome SaturateGeneric(const Problem& p,
   return out;
 }
 
-// Linear saturate stage: the tree chase, breadth-first by depth level up
-// to `max_rounds` levels. `frontier` holds the facts created at the
-// current depth; triggers are fired on frontier facts only (each linear
-// TGD has a single body atom, so every trigger is rooted at one fact).
-// A row-id-cap overflow anywhere degrades the check to kUnknown (a
-// budget-style outcome) instead of aborting the process — the daemon
-// serves the request as incomplete and stays up.
-ContainmentOutcome SaturateLinear(const Problem& p,
-                                  const ChaseOptions& options) {
-  std::vector<bool> tgd_enabled;  // empty = fire everything
-  if (options.relevant_relations != nullptr) {
-    tgd_enabled.reserve(p.tgds.size());
-    for (const Tgd& tgd : p.tgds) {
-      tgd_enabled.push_back(TgdIsRelevant(tgd, *options.relevant_relations));
-    }
-  }
-
-  ContainmentOutcome out;
-  Instance inst;
-  bool row_ids_exhausted = false;
-  std::vector<Fact> frontier;
-  p.start.ForEachFactUntil([&](FactRef f) {
-    bool inserted = false;
-    if (!inst.TryAddRow(f.relation(), f.args(), &inserted).ok()) {
-      row_ids_exhausted = true;
-      return false;
-    }
-    if (inserted) frontier.push_back(Fact(f));
-    return true;
-  });
-
-  // Delta-restricted when `delta` is non-null: the pre-delta state was
-  // already goal-checked, and the linear instance is append-only (no EGD
-  // rebuilds), so marks stay valid and only homomorphisms touching the
-  // depth's new facts can newly satisfy the goal.
-  auto goal_holds = [&](const Instance::DeltaMark* delta) {
-    Metrics().hom_checks->IncrementCell();
-    ++out.goal_checks;
-    bool found =
-        delta != nullptr
-            ? FindHomomorphismDelta(p.goal, inst, nullptr, *delta).has_value()
-            : FindHomomorphism(p.goal, inst).has_value();
-    if (found) Metrics().hom_checks_ok->IncrementCell();
-    return found;
-  };
-
-  auto stop = [&](ContainmentVerdict verdict, ChaseStatus status,
-                  ChaseExhausted exhausted) {
-    out.verdict = verdict;
-    out.status = status;
-    out.exhausted = exhausted;
-    out.facts = inst.NumFacts();
-    return out;
-  };
-
-  if (row_ids_exhausted) {
-    return stop(ContainmentVerdict::kUnknown, ChaseStatus::kBudgetExceeded,
-                ChaseExhausted::kFacts);
-  }
-  if (goal_holds(nullptr)) {
-    return stop(ContainmentVerdict::kContained, ChaseStatus::kCompleted,
-                ChaseExhausted::kNone);
-  }
-
-  for (uint64_t depth = 1; depth <= p.max_rounds && !frontier.empty();
-       ++depth) {
-    // Everything below the mark was goal-checked after the previous depth
-    // (or initially), so the post-depth check can be delta-restricted.
-    Instance::DeltaMark depth_mark = inst.Mark();
-    std::vector<Fact> next;
-    for (const Fact& fact : frontier) {
-      if (row_ids_exhausted) break;
-      Instance just_fact;
-      just_fact.AddFact(fact);
-      for (size_t ti = 0; ti < p.tgds.size(); ++ti) {
-        if (!tgd_enabled.empty() && !tgd_enabled[ti]) continue;  // pruned
-        const Tgd& tgd = p.tgds[ti];
-        if (row_ids_exhausted) break;
-        if (tgd.body()[0].relation != fact.relation) continue;
-        // All body matches of this single-atom body against `fact`.
-        ForEachHomomorphism(
-            tgd.body(), just_fact, nullptr, [&](const Substitution& sub) {
-              Substitution seed;
-              for (Term x : tgd.ExportedVariables()) {
-                seed.emplace(x, ApplyToTerm(sub, x));
-              }
-              Metrics().activeness_checks->IncrementCell();
-              if (FindHomomorphism(tgd.head(), inst, &seed).has_value()) {
-                return true;  // not active
-              }
-              Substitution extension = seed;
-              for (Term y : tgd.ExistentialVariables()) {
-                extension.emplace(y, p.universe->FreshNull());
-              }
-              uint64_t created_count = 0;
-              for (const Atom& h : tgd.head()) {
-                Fact created = ApplyToAtom(extension, h);
-                bool inserted = false;
-                if (!inst.TryAddFact(created, &inserted).ok()) {
-                  row_ids_exhausted = true;
-                  return false;  // stop enumerating; degrade below
-                }
-                if (inserted) {
-                  next.push_back(created);
-                  ++created_count;
-                }
-              }
-              ++out.tgd_steps;
-              Metrics().chase_triggers_tgd->IncrementCell();
-              Metrics().chase_facts_created->IncrementCell(created_count);
-              return true;
-            });
-      }
-    }
-    out.rounds = depth;
-    Metrics().chase_rounds->IncrementCell();
-    if (TraceEnabled()) {
-      TraceEventRecord("chase.round.linear",
-                       {{"depth", static_cast<int64_t>(depth)},
-                        {"frontier", static_cast<int64_t>(next.size())},
-                        {"facts", static_cast<int64_t>(inst.NumFacts())}});
-    }
-    if (goal_holds(inst.MarkValid(depth_mark) ? &depth_mark : nullptr)) {
-      return stop(ContainmentVerdict::kContained, ChaseStatus::kCompleted,
-                  ChaseExhausted::kNone);
-    }
-    if (row_ids_exhausted || inst.NumFacts() > p.max_facts) {
-      Metrics().chase_exhausted_facts->IncrementCell();
-      return stop(ContainmentVerdict::kUnknown, ChaseStatus::kBudgetExceeded,
-                  ChaseExhausted::kFacts);
-    }
-    frontier = std::move(next);
-  }
-
-  // An empty frontier means the chase terminated: its result is a model
-  // in which the goal fails, so the answer is exact. Otherwise the depth
-  // bound stopped it with facts still to expand. The goal has no match of
-  // depth <= max_depth, which is a complete refutation only when max_depth
-  // is the Johnson–Klug bound for this problem — a fact the caller knows
-  // and the engine does not.
-  if (frontier.empty()) {
-    return stop(ContainmentVerdict::kNotContained, ChaseStatus::kCompleted,
-                ChaseExhausted::kNone);
-  }
-  Metrics().chase_exhausted_rounds->IncrementCell();
-  return stop(ContainmentVerdict::kNotContained, ChaseStatus::kBudgetExceeded,
-              ChaseExhausted::kRounds);
-}
-
-// The one containment pipeline: key → cache lookup → relevance →
-// signature prefilter → countermodel → saturate → verdict and record.
-// Only the saturate stage depends on the engine.
+// The containment pipeline: key → cache lookup → relevance → signature
+// prefilter → countermodel → saturate → verdict and record.
 ContainmentOutcome RunPipeline(const Problem& p) {
   const ChaseOptions& options = p.options;
-  const bool linear = p.engine == Engine::kLinear;
   Metrics().checks->Increment();
-  if (linear) Metrics().checks_linear->Increment();
   ScopedTimer timer(Metrics().check_us);
-  TraceSpan span(linear ? "containment.check.linear" : "containment.check");
+  TraceSpan span("containment.check");
 
   CacheKey key;
   if (options.use_containment_cache) {
@@ -521,6 +331,7 @@ ContainmentOutcome RunPipeline(const Problem& p) {
         span.AddStr("cache", "hit");
         span.AddStr("verdict", VerdictName(cached.verdict));
       }
+      cached.cache_hit = true;
       return cached;
     }
     Metrics().cache_misses->Increment();
@@ -533,8 +344,7 @@ ContainmentOutcome RunPipeline(const Problem& p) {
   // countermodel of the FULL constraint set (no relevance pruning, so its
   // kNotContained stays sound even under an overprune injection). Both
   // are only sound when no FD can conflict — a conflict would make the
-  // containment vacuously kContained, which neither can see. The linear
-  // engine has no FDs, so both always apply there.
+  // containment vacuously kContained, which neither can see.
   RelevanceResult relevance;
   ChaseOptions chase_options = options;
   chase_options.record_trace = false;  // an outcome carries no trace
@@ -543,7 +353,7 @@ ContainmentOutcome RunPipeline(const Problem& p) {
   bool countermodeled = false;
   if (options.prune_to_goal) {
     relevance = ComputeRelevance(
-        {p.goal}, p.tgds, p.sigma.fds, p.rules,
+        {p.goal}, p.sigma.tgds, p.sigma.fds, p.rules,
         p.universe != nullptr ? p.universe->NumRelations() : 0,
         options.inject_overprune_for_testing);
     chase_options.relevant_relations = &relevance.relevant_relations;
@@ -553,11 +363,13 @@ ContainmentOutcome RunPipeline(const Problem& p) {
       Metrics().prune_constraints->Increment(pruned_constraints);
     }
     if (p.sigma.fds.empty()) {
-      prefiltered = !SignatureCanReachGoal(p.start, p.goal, p.tgds, p.rules,
+      prefiltered = !SignatureCanReachGoal(p.start, p.goal, p.sigma.tgds,
+                                           p.rules,
                                            relevance.relevant_relations);
       countermodeled = !prefiltered &&
-                       CounterModelRefutesGoals(p.start, {p.goal}, p.tgds,
-                                                p.rules, p.universe);
+                       CounterModelRefutesGoals(p.start, {p.goal},
+                                                p.sigma.tgds, p.rules,
+                                                p.universe);
     }
   }
 
@@ -568,22 +380,19 @@ ContainmentOutcome RunPipeline(const Problem& p) {
         ->Increment();
     out.verdict = ContainmentVerdict::kNotContained;
     out.facts = p.start.NumFacts();
-  } else if (linear) {
-    out = SaturateLinear(p, chase_options);
   } else {
-    out = SaturateGeneric(p, chase_options);
+    out = Saturate(p, chase_options);
   }
 
   uint64_t elapsed = timer.ElapsedMicros();
   Metrics().check_miss_us->Record(elapsed);
-  if (linear) Metrics().linear_depth->Record(out.rounds);
   QueryProfiler::Default().RecordCheck(ContainmentCheckRecord{
       "", GoalRelationName(p.goal, p.universe), elapsed, out.rounds,
       out.facts, out.goal_checks, pruned_constraints, false});
   if (span.active()) {
     span.AddStr("cache", options.use_containment_cache ? "miss" : "off");
     span.AddStr("verdict", VerdictName(out.verdict));
-    span.AddInt(linear ? "depth" : "rounds", static_cast<int64_t>(out.rounds));
+    span.AddInt("rounds", static_cast<int64_t>(out.rounds));
     span.AddInt("facts", static_cast<int64_t>(out.facts));
     span.AddInt("pruned_constraints",
                 static_cast<int64_t>(pruned_constraints));
@@ -612,10 +421,8 @@ ContainmentOutcome CheckContainmentFrom(
     const ConstraintSet& sigma, Universe* universe,
     const ChaseOptions& options,
     const std::vector<CardinalityRule>& cardinality_rules) {
-  return RunPipeline(Problem{Engine::kGeneric, start, goal, sigma,
-                             sigma.tgds, cardinality_rules,
-                             options.max_rounds, options.max_facts,
-                             universe, options});
+  return RunPipeline(
+      Problem{start, goal, sigma, cardinality_rules, universe, options});
 }
 
 uint64_t JohnsonKlugDepthBound(size_t goal_atoms, size_t sigma_bounded,
@@ -640,32 +447,6 @@ uint64_t JohnsonKlugDepthBound(size_t goal_atoms, size_t sigma_bounded,
   uint64_t path = std::max<uint64_t>(sigma_bounded, 1) * per_hop +
                   sigma_acyclic;
   return std::max<uint64_t>(goal_atoms, 1) * path;
-}
-
-ContainmentOutcome CheckLinearContainment(const ConjunctiveQuery& q,
-                                          const ConjunctiveQuery& q_prime,
-                                          const std::vector<Tgd>& linear_tgds,
-                                          Universe* universe,
-                                          uint64_t max_depth,
-                                          uint64_t max_facts,
-                                          const ChaseOptions& options) {
-  return CheckLinearContainmentFrom(q.CanonicalDatabase(), q_prime.atoms(),
-                                    linear_tgds, universe, max_depth,
-                                    max_facts, options);
-}
-
-ContainmentOutcome CheckLinearContainmentFrom(
-    const Instance& start, const std::vector<Atom>& goal,
-    const std::vector<Tgd>& linear_tgds, Universe* universe,
-    uint64_t max_depth, uint64_t max_facts, const ChaseOptions& options) {
-  for (const Tgd& tgd : linear_tgds) {
-    RBDA_CHECK(tgd.IsLinear());
-  }
-  static const ConstraintSet kNoSigma;
-  static const std::vector<CardinalityRule> kNoRules;
-  return RunPipeline(Problem{Engine::kLinear, start, goal, kNoSigma,
-                             linear_tgds, kNoRules, max_depth, max_facts,
-                             universe, options});
 }
 
 void ClearContainmentCache() { ContainmentCache::Get().Clear(); }

@@ -1,4 +1,4 @@
-// Goal-directed relevance analysis for the containment engines
+// Goal-directed relevance analysis for the containment pipeline
 // (DESIGN.md "Relevance-pruned chase").
 //
 // Exact relevance — "can constraint τ ever matter for deriving the goal?"
@@ -37,7 +37,7 @@
 // A pruned chase may return a definite verdict where the full chase runs
 // out of budget (kUnknown): pruning increases completeness, never
 // soundness risk. The goal-pruned-vs-full fuzz checker enforces this
-// contract against the unpruned engines.
+// contract against unpruned runs.
 #ifndef RBDA_CHASE_RELEVANCE_H_
 #define RBDA_CHASE_RELEVANCE_H_
 
@@ -104,10 +104,10 @@ bool GoalWithinSignature(const std::vector<Atom>& goal,
 
 /// Necessary-condition prefilter: false means NO chase of `start` under
 /// the relevance-enabled constraints can ever satisfy the goal, so the
-/// containment engines may answer kNotContained without chasing.
+/// containment pipeline may answer kNotContained without chasing.
 /// CAUTION: only sound when no FD can conflict (sigma.fds empty) — an FD
 /// conflict makes containment vacuously kContained, which this abstraction
-/// cannot see. The linear engine has no FDs, so it always applies there.
+/// cannot see. Linearized problems have no FDs, so it always applies there.
 bool SignatureCanReachGoal(const Instance& start,
                            const std::vector<Atom>& goal,
                            const std::vector<Tgd>& tgds,

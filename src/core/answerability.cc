@@ -37,6 +37,10 @@ struct StageMetrics {
   Distribution* simplification_us;
   Distribution* reduction_us;
   Distribution* containment_us;
+  // The linear pipeline's checks, and the depth of each one that missed
+  // the containment cache.
+  Counter* checks_linear;
+  Distribution* linear_depth;
 };
 
 const StageMetrics& Stages() {
@@ -49,6 +53,8 @@ const StageMetrics& Stages() {
         r.GetDistribution("answerability.simplification_us"),
         r.GetDistribution("answerability.reduction_us"),
         r.GetDistribution("answerability.containment_us"),
+        r.GetCounter("containment.checks.linear"),
+        r.GetDistribution("containment.linear.depth"),
     };
   }();
   return m;
@@ -107,7 +113,7 @@ StatusOr<Decision> GenericPipeline(const ServiceSchema& work,
 }
 
 // Linear pipeline (IDs and UIDs+FDs after separability): linearize, then
-// run the depth-bounded Johnson–Klug chase.
+// chase the linear TGDs breadth-first up to the Johnson–Klug depth bound.
 StatusOr<Decision> LinearPipeline(const ServiceSchema& work,
                                   const ConjunctiveQuery& q,
                                   const TermSet& accessible_constants,
@@ -119,33 +125,32 @@ StatusOr<Decision> LinearPipeline(const ServiceSchema& work,
   });
   RBDA_RETURN_IF_ERROR(lin.status());
   Universe* universe = const_cast<Universe*>(&work.universe());
-  uint64_t depth = std::min(lin->jk_depth_bound, options.linear_depth_cap);
+  ConstraintSet sigma;
+  sigma.tgds = std::move(lin->tgds);
+  ChaseOptions chase = options.chase;
+  chase.max_rounds = std::min(lin->jk_depth_bound, options.linear_depth_cap);
+  chase.max_facts = options.linear_max_facts;
+  Stages().checks_linear->Increment();
   ContainmentOutcome outcome = TimedStage(Stages().containment_us, [&] {
-    return CheckLinearContainmentFrom(lin->start, lin->goal, lin->tgds,
-                                      universe, depth,
-                                      options.linear_max_facts,
-                                      options.chase);
+    return CheckContainmentFrom(lin->start, lin->goal, sigma, universe, chase);
   });
+  if (!outcome.cache_hit) Stages().linear_depth->Record(outcome.rounds);
   Decision d;
   d.procedure = std::move(procedure);
   d.verdict = FromVerdict(outcome.verdict);
-  d.gamma_size = lin->tgds.size();
+  d.complete = outcome.verdict != ContainmentVerdict::kUnknown;
+  d.gamma_size = sigma.tgds.size();
   d.depth_bound = lin->jk_depth_bound;
   FillStats(&d, outcome);
-  d.depth_reached = outcome.rounds;  // the linear engine's rounds are depths
-  // A kNotContained verdict is a decision when the chase either terminated
-  // on its own or ran to the full JK bound. A run that linear_depth_cap
-  // stopped below the bound (exhausted = kRounds) decides nothing.
-  if (outcome.verdict == ContainmentVerdict::kNotContained) {
-    d.complete = outcome.status == ChaseStatus::kCompleted ||
-                 depth == lin->jk_depth_bound;
-    if (d.complete) {
-      d.exhausted = ChaseExhausted::kNone;
-    } else {
-      d.verdict = Answerability::kUnknown;
-    }
-  } else {
-    d.complete = outcome.verdict != ContainmentVerdict::kUnknown;
+  d.depth_reached = outcome.rounds;  // rounds are derivation depths here
+  // A run the rounds budget stopped at the full JK bound found no match of
+  // depth <= bound: a complete refutation (Prop 5.6 / E.8). One that
+  // linear_depth_cap stopped below the bound decides nothing.
+  if (outcome.exhausted == ChaseExhausted::kRounds &&
+      chase.max_rounds == lin->jk_depth_bound) {
+    d.verdict = Answerability::kNotAnswerable;
+    d.complete = true;
+    d.exhausted = ChaseExhausted::kNone;
   }
   return d;
 }

@@ -6,11 +6,12 @@
 //       chase: the chase terminates in polynomially many rounds, so the
 //       verdict is always complete (Thm 5.2, NP).
 //   IDs — existence-check regime (Thm 4.2) folded into linearization
-//       (Prop 5.5 / E.5.2) + the depth-bounded Johnson–Klug linear chase
-//       (EXPTIME in general, NP for bounded width — Thms 5.3 / 5.4).
+//       (Prop 5.5 / E.5.2) + the chase run breadth-first to the
+//       Johnson–Klug depth bound (EXPTIME in general, NP for bounded
+//       width — Thms 5.3 / 5.4).
 //   UIDs + FDs — choice simplification (Thm 6.4), query minimization under
 //       the FDs, separability rewriting exporting DetBy(mt), drop the FDs,
-//       then the linear engine (Thm 7.2, EXPTIME).
+//       then the linear pipeline (Thm 7.2, EXPTIME).
 //   FGTGDs / TGDs — choice simplification (Thm 6.3) + the generic chase;
 //       sound always, complete when the chase terminates (Thm 7.1 gives
 //       2EXPTIME decidability; our engine is its budgeted proof search).
@@ -58,8 +59,8 @@ struct Decision {
   uint64_t chase_rounds = 0;
   uint64_t chase_facts = 0;
   uint64_t tgd_steps = 0;
-  uint64_t depth_bound = 0;    // linear engine only
-  uint64_t depth_reached = 0;  // linear engine only
+  uint64_t depth_bound = 0;    // linear pipeline only
+  uint64_t depth_reached = 0;  // linear pipeline only
   size_t gamma_size = 0;       // number of TGDs chased
 };
 

@@ -3,7 +3,7 @@
 // The generator families (runtime/schema_generators.h) produce schemas that
 // sit squarely inside one Table 1 fragment; the interesting bugs live at
 // fragment *boundaries* (an FD dropped onto an ID schema flips the
-// dispatcher from the linear engine to the naive reduction; widening a UID
+// dispatcher from the linear pipeline to the naive reduction; widening a UID
 // leaves the UIDs+FDs separability regime). Mutators perturb a generated
 // schema — add/drop/perturb a constraint, flip a method's bound, widen an
 // ID — so one generator seed exercises several adjacent fragments.

@@ -1,8 +1,8 @@
 #include "obs/json.h"
 
-#include <cctype>
 #include <cstdio>
 
+#include "obs/json_reader.h"
 #include "obs/metrics.h"
 
 namespace rbda {
@@ -117,175 +117,6 @@ std::string SnapshotToJson(const MetricsRegistry& registry) {
   return out.ToJson();
 }
 
-namespace {
-
-// Recursive-descent well-formedness checker over [p, end).
-class JsonChecker {
- public:
-  JsonChecker(const char* p, const char* end) : p_(p), end_(end) {}
-
-  bool Check() {
-    SkipWs();
-    if (!Value(/*depth=*/0)) return false;
-    SkipWs();
-    return p_ == end_;
-  }
-
- private:
-  static constexpr int kMaxDepth = 128;
-
-  void SkipWs() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                          *p_ == '\r')) {
-      ++p_;
-    }
-  }
-
-  bool Literal(std::string_view word) {
-    if (static_cast<size_t>(end_ - p_) < word.size()) return false;
-    if (std::string_view(p_, word.size()) != word) return false;
-    p_ += word.size();
-    return true;
-  }
-
-  bool String() {
-    if (p_ == end_ || *p_ != '"') return false;
-    ++p_;
-    while (p_ != end_) {
-      unsigned char c = static_cast<unsigned char>(*p_);
-      if (c == '"') {
-        ++p_;
-        return true;
-      }
-      if (c < 0x20) return false;  // raw control character
-      if (c == '\\') {
-        ++p_;
-        if (p_ == end_) return false;
-        char e = *p_;
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++p_;
-            if (p_ == end_ || !std::isxdigit(static_cast<unsigned char>(*p_)))
-              return false;
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      }
-      ++p_;
-    }
-    return false;  // unterminated
-  }
-
-  bool Digits() {
-    if (p_ == end_ || !std::isdigit(static_cast<unsigned char>(*p_)))
-      return false;
-    while (p_ != end_ && std::isdigit(static_cast<unsigned char>(*p_))) ++p_;
-    return true;
-  }
-
-  bool Number() {
-    if (p_ != end_ && *p_ == '-') ++p_;
-    if (p_ == end_) return false;
-    if (*p_ == '0') {
-      ++p_;
-    } else if (!Digits()) {
-      return false;
-    }
-    if (p_ != end_ && *p_ == '.') {
-      ++p_;
-      if (!Digits()) return false;
-    }
-    if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
-      ++p_;
-      if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
-      if (!Digits()) return false;
-    }
-    return true;
-  }
-
-  bool Value(int depth) {
-    if (depth > kMaxDepth || p_ == end_) return false;
-    switch (*p_) {
-      case '{':
-        return Object(depth);
-      case '[':
-        return Array(depth);
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object(int depth) {
-    ++p_;  // '{'
-    SkipWs();
-    if (p_ != end_ && *p_ == '}') {
-      ++p_;
-      return true;
-    }
-    for (;;) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (p_ == end_ || *p_ != ':') return false;
-      ++p_;
-      SkipWs();
-      if (!Value(depth + 1)) return false;
-      SkipWs();
-      if (p_ == end_) return false;
-      if (*p_ == ',') {
-        ++p_;
-        continue;
-      }
-      if (*p_ == '}') {
-        ++p_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool Array(int depth) {
-    ++p_;  // '['
-    SkipWs();
-    if (p_ != end_ && *p_ == ']') {
-      ++p_;
-      return true;
-    }
-    for (;;) {
-      SkipWs();
-      if (!Value(depth + 1)) return false;
-      SkipWs();
-      if (p_ == end_) return false;
-      if (*p_ == ',') {
-        ++p_;
-        continue;
-      }
-      if (*p_ == ']') {
-        ++p_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
-}  // namespace
-
-bool IsValidJson(std::string_view s) {
-  return JsonChecker(s.data(), s.data() + s.size()).Check();
-}
+bool IsValidJson(std::string_view s) { return ParseJson(s).ok(); }
 
 }  // namespace rbda

@@ -1,10 +1,10 @@
 // Minimal JSON support for the observability layer: a string escaper, an
 // append-only writer for objects the exporters emit, a registry snapshot
-// exporter, and a validity checker used by tests and the CLI.
+// exporter, and a validity check used by tests and the CLI.
 //
 // Deliberately not a general JSON library — the repo has no external
 // dependencies and does not need one: exporters only ever *write* JSON,
-// and the checker only needs to confirm well-formedness.
+// and the validity check is the one reader the repo has (json_reader.h).
 #ifndef RBDA_OBS_JSON_H_
 #define RBDA_OBS_JSON_H_
 
@@ -51,9 +51,10 @@ class JsonObjectWriter {
 /// quantiles are Histogram estimates (histogram.h error bound).
 std::string SnapshotToJson(const MetricsRegistry& registry);
 
-/// True iff `s` is exactly one well-formed JSON value (object, array,
-/// string, number, true/false/null) plus optional surrounding whitespace.
-/// Recursive-descent; used by tests to validate exporter output.
+/// True iff ParseJson accepts `s`: exactly one well-formed JSON value
+/// plus optional surrounding whitespace, with no duplicate object key and
+/// at most 32 levels of nesting. Used by tests to validate exporter
+/// output.
 bool IsValidJson(std::string_view s);
 
 }  // namespace rbda

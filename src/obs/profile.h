@@ -31,7 +31,7 @@
 
 namespace rbda {
 
-/// One containment check's cost, as reported by the containment engines.
+/// One containment check's cost, as reported by the containment pipeline.
 struct ContainmentCheckRecord {
   std::string label;          // active profile label ("" = unattributed)
   std::string goal_relation;  // relation of the first goal atom

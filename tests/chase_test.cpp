@@ -41,6 +41,36 @@ TEST_F(ChaseTest, FiresTgdWithFreshNull) {
   EXPECT_TRUE(rf[0].arg(1).IsNull());
 }
 
+TEST_F(ChaseTest, RoundsAreBreadthFirst) {
+  // R0(x) -> R1(x), then R1(x) -> R2(x). R1(a) is created in round 1, so
+  // it is a pivot only in round 2: a fact never feeds the round that
+  // created it.
+  std::vector<RelationId> chain;
+  for (int i = 0; i < 3; ++i) {
+    chain.push_back(*universe_.AddRelation("R" + std::to_string(i), 1));
+  }
+  ConstraintSet cs;
+  for (int i = 0; i < 2; ++i) {
+    cs.tgds.emplace_back(std::vector<Atom>{Atom(chain[i], {x_})},
+                         std::vector<Atom>{Atom(chain[i + 1], {x_})});
+  }
+  Instance start;
+  start.AddFact(chain[0], {a_});
+  ChaseOptions one;
+  one.max_rounds = 1;
+  ChaseResult first = RunChase(start, cs, &universe_, one);
+  EXPECT_TRUE(first.instance.Contains(Atom(chain[1], {a_})));
+  EXPECT_FALSE(first.instance.Contains(Atom(chain[2], {a_})));
+  EXPECT_EQ(first.status, ChaseStatus::kBudgetExceeded);
+  EXPECT_EQ(first.exhausted, ChaseExhausted::kRounds);
+  ChaseOptions three;
+  three.max_rounds = 3;
+  ChaseResult all = RunChase(start, cs, &universe_, three);
+  EXPECT_TRUE(all.instance.Contains(Atom(chain[2], {a_})));
+  EXPECT_EQ(all.status, ChaseStatus::kCompleted);
+  EXPECT_EQ(all.rounds, 3u);  // the third round fired nothing
+}
+
 TEST_F(ChaseTest, RestrictedChaseSkipsSatisfiedTriggers) {
   ConstraintSet cs;
   cs.tgds.emplace_back(std::vector<Atom>{Atom(t_, {x_})},
@@ -360,50 +390,57 @@ TEST_F(ChaseTest, ContainmentUnknownOnBudget) {
             ContainmentVerdict::kNotContained);
 }
 
+// The linear (Johnson–Klug) checks run on the one chase with max_rounds
+// as the depth bound: the breadth-first rounds are the derivation levels.
 TEST_F(ChaseTest, LinearContainmentMatchesGeneric) {
   // Chain of UIDs: R[1] ⊆ S[0], S[1] ⊆ T[0].
-  std::vector<Tgd> ids;
-  ids.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
-                   std::vector<Atom>{Atom(s_, {y_, z_})});
-  ids.emplace_back(std::vector<Atom>{Atom(s_, {x_, y_})},
-                   std::vector<Atom>{Atom(t_, {y_})});
+  ConstraintSet ids;
+  ids.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                        std::vector<Atom>{Atom(s_, {y_, z_})});
+  ids.tgds.emplace_back(std::vector<Atom>{Atom(s_, {x_, y_})},
+                        std::vector<Atom>{Atom(t_, {y_})});
   ConjunctiveQuery q = ConjunctiveQuery::Boolean({Atom(r_, {a_, b_})});
   ConjunctiveQuery yes = ConjunctiveQuery::Boolean({Atom(t_, {x_})});
   ConjunctiveQuery no = ConjunctiveQuery::Boolean({Atom(t_, {a_})});
 
-  uint64_t depth = JohnsonKlugDepthBound(1, ids.size(), 0, 2, 1);
-  EXPECT_EQ(CheckLinearContainment(q, yes, ids, &universe_, depth).verdict,
+  ChaseOptions options;
+  options.max_rounds = JohnsonKlugDepthBound(1, ids.tgds.size(), 0, 2, 1);
+  EXPECT_EQ(CheckContainment(q, yes, ids, &universe_, options).verdict,
             ContainmentVerdict::kContained);
-  EXPECT_EQ(CheckLinearContainment(q, no, ids, &universe_, depth).verdict,
+  EXPECT_EQ(CheckContainment(q, no, ids, &universe_, options).verdict,
             ContainmentVerdict::kNotContained);
 }
 
 TEST_F(ChaseTest, LinearContainmentInfiniteChaseDecided) {
   // Cyclic UIDs: infinite restricted chase, but the JK bound still decides.
-  std::vector<Tgd> ids;
-  ids.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
-                   std::vector<Atom>{Atom(s_, {y_, z_})});
-  ids.emplace_back(std::vector<Atom>{Atom(s_, {x_, y_})},
-                   std::vector<Atom>{Atom(r_, {y_, z_})});
+  ConstraintSet ids;
+  ids.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                        std::vector<Atom>{Atom(s_, {y_, z_})});
+  ids.tgds.emplace_back(std::vector<Atom>{Atom(s_, {x_, y_})},
+                        std::vector<Atom>{Atom(r_, {y_, z_})});
   ConjunctiveQuery q = ConjunctiveQuery::Boolean({Atom(r_, {a_, b_})});
   ConjunctiveQuery no = ConjunctiveQuery::Boolean({Atom(t_, {x_})});
-  uint64_t depth = JohnsonKlugDepthBound(1, ids.size(), 0, 2, 1);
+  uint64_t depth = JohnsonKlugDepthBound(1, ids.tgds.size(), 0, 2, 1);
   ChaseOptions unpruned;
+  unpruned.max_rounds = depth;
   unpruned.prune_to_goal = false;
   ContainmentOutcome outcome =
-      CheckLinearContainment(q, no, ids, &universe_, depth, 500000, unpruned);
-  EXPECT_EQ(outcome.verdict, ContainmentVerdict::kNotContained);
+      CheckContainment(q, no, ids, &universe_, unpruned);
+  // The chase never terminates, so the depth bound stopped the run with no
+  // match up to it. The engine reports the budget exit; a caller that
+  // knows `depth` is the JK bound reads it as a complete refutation.
+  EXPECT_EQ(outcome.verdict, ContainmentVerdict::kUnknown);
   EXPECT_EQ(outcome.rounds, depth);  // ran to the bound
-  // The frontier never empties, so the depth bound stopped the run.
   EXPECT_EQ(outcome.status, ChaseStatus::kBudgetExceeded);
   EXPECT_EQ(outcome.exhausted, ChaseExhausted::kRounds);
   // Goal-directed mode refutes from the relation signature alone: T is not
   // reachable from {R, S}, so the engine answers before expanding a level.
-  ContainmentOutcome pruned =
-      CheckLinearContainment(q, no, ids, &universe_, depth);
-  EXPECT_EQ(pruned.verdict, ContainmentVerdict::kNotContained);
-  EXPECT_EQ(pruned.rounds, 0u);
-  EXPECT_EQ(pruned.status, ChaseStatus::kCompleted);
+  ChaseOptions pruned;
+  pruned.max_rounds = depth;
+  ContainmentOutcome refuted = CheckContainment(q, no, ids, &universe_, pruned);
+  EXPECT_EQ(refuted.verdict, ContainmentVerdict::kNotContained);
+  EXPECT_EQ(refuted.rounds, 0u);
+  EXPECT_EQ(refuted.status, ChaseStatus::kCompleted);
 }
 
 TEST_F(ChaseTest, LinearDepthCapIsABudgetExit) {
@@ -414,30 +451,33 @@ TEST_F(ChaseTest, LinearDepthCapIsABudgetExit) {
   for (int i = 0; i < 4; ++i) {
     chain.push_back(*universe_.AddRelation("R" + std::to_string(i), 1));
   }
-  std::vector<Tgd> ids;
+  ConstraintSet ids;
   for (int i = 0; i < 3; ++i) {
-    ids.emplace_back(std::vector<Atom>{Atom(chain[i], {x_})},
-                     std::vector<Atom>{Atom(chain[i + 1], {x_})});
+    ids.tgds.emplace_back(std::vector<Atom>{Atom(chain[i], {x_})},
+                          std::vector<Atom>{Atom(chain[i + 1], {x_})});
   }
   ConjunctiveQuery q = ConjunctiveQuery::Boolean({Atom(chain[0], {a_})});
   ConjunctiveQuery goal = ConjunctiveQuery::Boolean({Atom(chain[3], {a_})});
+  auto check = [&](const ConjunctiveQuery& qp, uint64_t depth,
+                   bool prune = true) {
+    ChaseOptions options;
+    options.max_rounds = depth;
+    options.prune_to_goal = prune;
+    return CheckContainment(q, qp, ids, &universe_, options);
+  };
   for (uint64_t cap : {1u, 2u}) {
-    ContainmentOutcome capped =
-        CheckLinearContainment(q, goal, ids, &universe_, cap);
-    EXPECT_EQ(capped.verdict, ContainmentVerdict::kNotContained) << cap;
+    ContainmentOutcome capped = check(goal, cap);
+    EXPECT_EQ(capped.verdict, ContainmentVerdict::kUnknown) << cap;
     EXPECT_EQ(capped.status, ChaseStatus::kBudgetExceeded) << cap;
     EXPECT_EQ(capped.exhausted, ChaseExhausted::kRounds) << cap;
     EXPECT_EQ(capped.rounds, cap);
   }
-  ContainmentOutcome full = CheckLinearContainment(q, goal, ids, &universe_, 3);
+  ContainmentOutcome full = check(goal, 3);
   EXPECT_EQ(full.verdict, ContainmentVerdict::kContained);
   EXPECT_EQ(full.status, ChaseStatus::kCompleted);
   // Past R3 nothing fires: a run with depth to spare terminates on its own.
   ConjunctiveQuery absent = ConjunctiveQuery::Boolean({Atom(chain[3], {b_})});
-  ChaseOptions unpruned;
-  unpruned.prune_to_goal = false;
-  ContainmentOutcome terminated = CheckLinearContainment(
-      q, absent, ids, &universe_, 10, 500000, unpruned);
+  ContainmentOutcome terminated = check(absent, 10, /*prune=*/false);
   EXPECT_EQ(terminated.verdict, ContainmentVerdict::kNotContained);
   EXPECT_EQ(terminated.status, ChaseStatus::kCompleted);
   EXPECT_EQ(terminated.exhausted, ChaseExhausted::kNone);
@@ -517,18 +557,18 @@ TEST_F(ChaseTest, LinearContainmentCacheReplaysVerdict) {
   MetricsRegistry& reg = MetricsRegistry::Default();
   uint64_t hits0 = reg.GetCounter("containment.cache.hits")->value();
 
-  std::vector<Tgd> ids;
-  ids.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
-                   std::vector<Atom>{Atom(s_, {y_, z_})});
+  ConstraintSet ids;
+  ids.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, y_})},
+                        std::vector<Atom>{Atom(s_, {y_, z_})});
   ConjunctiveQuery q = ConjunctiveQuery::Boolean({Atom(r_, {a_, b_})});
   ConjunctiveQuery qp = ConjunctiveQuery::Boolean({Atom(s_, {x_, y_})});
-  uint64_t depth = JohnsonKlugDepthBound(1, ids.size(), 0, 2, 1);
+  ChaseOptions options;
+  options.max_rounds = JohnsonKlugDepthBound(1, ids.tgds.size(), 0, 2, 1);
 
-  ContainmentOutcome first =
-      CheckLinearContainment(q, qp, ids, &universe_, depth);
+  ContainmentOutcome first = CheckContainment(q, qp, ids, &universe_, options);
   EXPECT_EQ(ContainmentCacheSize(), 1u);
   ContainmentOutcome second =
-      CheckLinearContainment(q, qp, ids, &universe_, depth);
+      CheckContainment(q, qp, ids, &universe_, options);
   EXPECT_EQ(reg.GetCounter("containment.cache.hits")->value(), hits0 + 1);
   EXPECT_EQ(second.verdict, first.verdict);
   EXPECT_EQ(second.status, first.status);

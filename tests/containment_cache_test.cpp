@@ -288,57 +288,5 @@ TEST_F(ContainmentCacheTest, PruneModeKeysDistinctEntries) {
             ContainmentVerdict::kNotContained);
 }
 
-// The generic and linear engines key distinct entries for one problem.
-// Start, goal, TGDs and budgets are the same, and semi-naive evaluation
-// (the one generic-only input) is off, so only the engine tag separates
-// the keys — and the engines answer differently: the depth-capped linear
-// run finds no match up to its depth (kNotContained), while the
-// round-capped generic run is kUnknown. A shared entry would replay one
-// engine's verdict for the other.
-TEST_F(ContainmentCacheTest, GenericAndLinearKeysNeverShare) {
-  std::vector<RelationId> chain;
-  for (int i = 0; i < 4; ++i) {
-    chain.push_back(*universe_.AddRelation("C" + std::to_string(i), 1));
-  }
-  // C0 -> C1 -> C2 -> C3, listed last link first so that the generic chase,
-  // too, needs one round per link: the goal needs three.
-  ConstraintSet cs;
-  for (int i = 2; i >= 0; --i) {
-    cs.tgds.emplace_back(std::vector<Atom>{Atom(chain[i], {x_})},
-                         std::vector<Atom>{Atom(chain[i + 1], {x_})});
-  }
-  Term a = universe_.Constant("a");
-  ConjunctiveQuery q = ConjunctiveQuery::Boolean({Atom(chain[0], {a})});
-  ConjunctiveQuery goal = ConjunctiveQuery::Boolean({Atom(chain[3], {a})});
-  ChaseOptions options;
-  options.max_rounds = 2;
-  options.max_facts = 100;
-  options.use_semi_naive = false;
-  auto generic = [&] {
-    return CheckContainment(q, goal, cs, &universe_, options).verdict;
-  };
-  auto linear = [&] {
-    return CheckLinearContainment(q, goal, cs.tgds, &universe_,
-                                  options.max_rounds, options.max_facts,
-                                  options)
-        .verdict;
-  };
-
-  // Both orders, each probed again with the cache warm.
-  for (int round = 0; round < 2; ++round) {
-    EXPECT_EQ(generic(), ContainmentVerdict::kUnknown) << "round " << round;
-    EXPECT_EQ(linear(), ContainmentVerdict::kNotContained)
-        << "round " << round;
-  }
-  EXPECT_EQ(ContainmentCacheSize(), 2u);
-  ClearContainmentCache();
-  for (int round = 0; round < 2; ++round) {
-    EXPECT_EQ(linear(), ContainmentVerdict::kNotContained)
-        << "round " << round;
-    EXPECT_EQ(generic(), ContainmentVerdict::kUnknown) << "round " << round;
-  }
-  EXPECT_EQ(ContainmentCacheSize(), 2u);
-}
-
 }  // namespace
 }  // namespace rbda

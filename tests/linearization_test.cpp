@@ -28,16 +28,23 @@ Answerability RunLinear(const ServiceSchema& schema,
   EXPECT_TRUE(lin.ok()) << lin.status().ToString();
   if (!lin.ok()) return Answerability::kUnknown;
   Universe* u = const_cast<Universe*>(&schema.universe());
-  ContainmentOutcome outcome = CheckLinearContainmentFrom(
-      lin->start, lin->goal, lin->tgds, u,
-      std::min<uint64_t>(lin->jk_depth_bound, 2000));
+  ConstraintSet sigma;
+  sigma.tgds = lin->tgds;
+  ChaseOptions options;
+  options.max_rounds = std::min<uint64_t>(lin->jk_depth_bound, 2000);
+  ContainmentOutcome outcome =
+      CheckContainmentFrom(lin->start, lin->goal, sigma, u, options);
   switch (outcome.verdict) {
     case ContainmentVerdict::kContained:
       return Answerability::kAnswerable;
     case ContainmentVerdict::kNotContained:
       return Answerability::kNotAnswerable;
     default:
-      return Answerability::kUnknown;
+      // A rounds exit at the full JK bound is a complete refutation.
+      return outcome.exhausted == ChaseExhausted::kRounds &&
+                     options.max_rounds == lin->jk_depth_bound
+                 ? Answerability::kNotAnswerable
+                 : Answerability::kUnknown;
   }
 }
 

@@ -129,6 +129,10 @@ TEST(JsonTest, ValidatorAcceptsAndRejects) {
   EXPECT_FALSE(IsValidJson("{\"a\":1} extra"));
   EXPECT_FALSE(IsValidJson("01"));
   EXPECT_FALSE(IsValidJson("\"unterminated"));
+  // The check is ParseJson: duplicate keys and deep nesting fail too.
+  EXPECT_FALSE(IsValidJson("{\"a\":1,\"a\":2}"));
+  EXPECT_TRUE(IsValidJson(std::string(8, '[') + std::string(8, ']')));
+  EXPECT_FALSE(IsValidJson(std::string(64, '[') + std::string(64, ']')));
 }
 
 TEST(JsonTest, ObjectWriterProducesValidJson) {
