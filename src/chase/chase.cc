@@ -110,15 +110,9 @@ class Engine {
       TgdInfo& info = tgds_[i];
       info.exported = tgd.ExportedVariables();
       info.existential = tgd.ExistentialVariables();
-      const std::vector<Atom>& body = tgd.body();
-      for (size_t k = 0; k < body.size(); ++k) {
-        std::vector<Atom> rest = body;
-        rest.erase(rest.begin() + static_cast<ptrdiff_t>(k));
-        info.rest.push_back(std::move(rest));
-        // Appended in (TGD, atom) order, the order a pivot visits them.
-        pivot_atoms_[body[k].relation].push_back(
-            {static_cast<uint32_t>(i), static_cast<uint32_t>(k)});
-      }
+      // Appended in (TGD, atom) order, the order a pivot visits them.
+      info.rest = IndexPivotAtoms(tgd.body(), static_cast<uint32_t>(i),
+                                  &PivotAtoms::tgd);
     }
     if (relevant != nullptr) {
       rule_enabled_.reserve(rules_.size());
@@ -159,63 +153,43 @@ class Engine {
  private:
   ChaseResult RunImpl(const std::vector<Atom>* goal, bool* goal_reached) {
     if (goal_reached) *goal_reached = false;
-    // Delta-restricted when `delta` is non-null: the pre-delta state was
-    // already goal-checked, so only homomorphisms touching the delta can
-    // newly satisfy the goal.
-    auto goal_holds = [&](const Instance::DeltaMark* delta) {
-      if (goal == nullptr) return false;
-      Metrics().hom_checks->IncrementCell();
-      ++result_.goal_checks;
-      bool found =
-          delta != nullptr
-              ? FindHomomorphismDelta(*goal, result_.instance, nullptr, *delta)
-                    .has_value()
-              : FindHomomorphism(*goal, result_.instance).has_value();
-      if (found) Metrics().hom_checks_ok->IncrementCell();
-      return found;
-    };
-
-    if (!ApplyFdsToFixpoint()) {
-      result_.status = ChaseStatus::kFdConflict;
-      return std::move(result_);
-    }
-    if (goal_holds(nullptr)) {
+    if (goal != nullptr) SplitGoal(*goal);
+    auto reached = [&] {
       if (goal_reached) *goal_reached = true;
       result_.status = ChaseStatus::kCompleted;
       return std::move(result_);
+    };
+
+    bool rebuilt = false;
+    if (!ApplyFdsToFixpoint(&rebuilt)) {
+      result_.status = ChaseStatus::kFdConflict;
+      return std::move(result_);
     }
+    if (goal != nullptr && GoalHolds(nullptr)) return reached();
 
-    // Facts visible at the start of the previous round's firing phase;
-    // valid only while no EGD rebuild intervened (see chase.h).
-    Instance::DeltaMark prev_mark;
-    bool prev_mark_valid = false;
-
+    // True when the previous round's new facts (frontier_) are the whole
+    // delta: not on round 1, not after an EGD rebuild (see chase.h).
+    bool semi = false;
     for (uint64_t round = 1; round <= options_.max_rounds; ++round) {
       result_.rounds = round;
       Metrics().rounds->IncrementCell();
-      Instance::DeltaMark round_mark = result_.instance.Mark();
-      bool semi = options_.use_semi_naive && prev_mark_valid &&
-                  result_.instance.MarkValid(prev_mark);
-      const Instance::DeltaMark* delta = semi ? &prev_mark : nullptr;
-      if (semi) {
-        Metrics().delta_rounds->IncrementCell();
-        Metrics().delta_size->Record(result_.instance.generation() -
-                                     prev_mark.generation);
-      } else {
-        Metrics().delta_full_rounds->IncrementCell();
-      }
       // The pivots: the previous round's new facts on a delta round (the
       // frontier, already in creation order), every fact otherwise.
       std::vector<FactRef> pivots;
       if (semi) {
+        Metrics().delta_rounds->IncrementCell();
+        Metrics().delta_size->Record(frontier_.size());
         pivots = std::move(frontier_);
       } else {
+        Metrics().delta_full_rounds->IncrementCell();
         pivots.reserve(result_.instance.NumFacts());
         result_.instance.ForEachFact([&](FactRef f) { pivots.push_back(f); });
       }
       frontier_.clear();
       uint64_t fired = FireTgdRound(round, pivots);
-      if (!budget_tripped_) fired += FireCardinalityRound(delta);
+      if (!budget_tripped_) {
+        fired += FireCardinalityRound(semi ? &pivots : nullptr);
+      }
       if (TraceEnabled()) {
         TraceEventRecord(
             "chase.round",
@@ -224,18 +198,15 @@ class Engine {
              {"facts", static_cast<int64_t>(result_.instance.NumFacts())}},
             {{"mode", semi ? "delta" : "full"}});
       }
-      if (!ApplyFdsToFixpoint()) {
+      if (!ApplyFdsToFixpoint(&rebuilt)) {
         result_.status = ChaseStatus::kFdConflict;
         return std::move(result_);
       }
+      semi = options_.use_semi_naive && !rebuilt;
       // A goal reached within budget still wins, even on a truncated
       // round: check before reporting the budget trip.
-      bool round_mark_ok = options_.use_semi_naive &&
-                           result_.instance.MarkValid(round_mark);
-      if (goal_holds(round_mark_ok ? &round_mark : nullptr)) {
-        if (goal_reached) *goal_reached = true;
-        result_.status = ChaseStatus::kCompleted;
-        return std::move(result_);
+      if (goal != nullptr && GoalHolds(semi ? &frontier_ : nullptr)) {
+        return reached();
       }
       if (budget_tripped_ ||
           result_.instance.NumFacts() > options_.max_facts) {
@@ -247,8 +218,6 @@ class Engine {
         result_.status = ChaseStatus::kCompleted;
         return std::move(result_);
       }
-      prev_mark = std::move(round_mark);
-      prev_mark_valid = round_mark_ok;
     }
     result_.status = ChaseStatus::kBudgetExceeded;
     result_.exhausted = ChaseExhausted::kRounds;
@@ -263,10 +232,110 @@ class Engine {
     std::vector<Term> existential;
     std::vector<std::vector<Atom>> rest;  // rest[k]: the body minus atom k
   };
+  // One atom of an atom list that a pivot fact can bind: a TGD body (owner
+  // = TGD index) or a goal component (owner = component index).
   struct PivotAtom {
-    uint32_t tgd;
+    uint32_t owner;
     uint32_t atom;
   };
+  // The pivot atoms over one relation, by kind of owner.
+  struct PivotAtoms {
+    std::vector<PivotAtom> tgd;
+    std::vector<PivotAtom> goal;
+  };
+  // A variable-connected component of the goal. Facts only accumulate and
+  // an EGD merge is a homomorphism, so a matched component stays matched.
+  struct GoalComponent {
+    std::vector<Atom> atoms;
+    std::vector<std::vector<Atom>> rest;  // rest[k]: atoms minus atom k
+    bool matched = false;
+  };
+
+  // Indexes each atom of `atoms` under its relation in the `kind` list of
+  // pivot_atoms_, and returns the lists "atoms minus atom k".
+  std::vector<std::vector<Atom>> IndexPivotAtoms(
+      const std::vector<Atom>& atoms, uint32_t owner,
+      std::vector<PivotAtom> PivotAtoms::*kind) {
+    std::vector<std::vector<Atom>> rest;
+    for (size_t k = 0; k < atoms.size(); ++k) {
+      std::vector<Atom> others = atoms;
+      others.erase(others.begin() + static_cast<ptrdiff_t>(k));
+      rest.push_back(std::move(others));
+      (pivot_atoms_[atoms[k].relation].*kind)
+          .push_back({owner, static_cast<uint32_t>(k)});
+    }
+    return rest;
+  }
+
+  // Splits the goal into its variable-connected components (atoms linked
+  // by a shared non-constant term), each in goal order, and indexes their
+  // atoms for the pivot check.
+  void SplitGoal(const std::vector<Atom>& goal) {
+    std::vector<size_t> parent(goal.size());
+    for (size_t i = 0; i < goal.size(); ++i) parent[i] = i;
+    auto find = [&](size_t i) {
+      while (parent[i] != i) i = parent[i] = parent[parent[i]];
+      return i;
+    };
+    std::unordered_map<Term, size_t, TermHash> first_atom;
+    for (size_t i = 0; i < goal.size(); ++i) {
+      for (Term t : goal[i].args) {
+        if (t.IsConstant()) continue;
+        auto [it, inserted] = first_atom.emplace(t, i);
+        if (!inserted) parent[find(i)] = find(it->second);
+      }
+    }
+    std::vector<size_t> component_of_root(goal.size(), SIZE_MAX);
+    for (size_t i = 0; i < goal.size(); ++i) {
+      size_t& c = component_of_root[find(i)];
+      if (c == SIZE_MAX) {
+        c = components_.size();
+        components_.emplace_back();
+      }
+      components_[c].atoms.push_back(goal[i]);
+    }
+    for (size_t c = 0; c < components_.size(); ++c) {
+      components_[c].rest = IndexPivotAtoms(
+          components_[c].atoms, static_cast<uint32_t>(c), &PivotAtoms::goal);
+    }
+  }
+
+  // True when every goal component has matched. Only unmatched components
+  // are searched: in full when `delta` is null, otherwise by binding each
+  // of their atoms to each delta fact — a component with no match before
+  // the delta can only newly match through a delta fact.
+  bool GoalHolds(const std::vector<FactRef>* delta) {
+    Metrics().hom_checks->IncrementCell();
+    ++result_.goal_checks;
+    if (delta == nullptr) {
+      for (GoalComponent& c : components_) {
+        if (!c.matched) {
+          c.matched = FindHomomorphism(c.atoms, result_.instance).has_value();
+        }
+      }
+    } else {
+      for (FactRef fact : *delta) {
+        auto atoms = pivot_atoms_.find(fact.relation());
+        if (atoms == pivot_atoms_.end()) continue;
+        for (const PivotAtom& pa : atoms->second.goal) {
+          GoalComponent& c = components_[pa.owner];
+          Substitution bound;
+          if (c.matched || !BindToPivot(c.atoms[pa.atom], fact, &bound)) {
+            continue;
+          }
+          const std::vector<Atom>& rest = c.rest[pa.atom];
+          c.matched = rest.empty() ||
+                      FindHomomorphism(rest, result_.instance, &bound)
+                          .has_value();
+        }
+      }
+    }
+    for (const GoalComponent& c : components_) {
+      if (!c.matched) return false;
+    }
+    Metrics().hom_checks_ok->IncrementCell();
+    return true;
+  }
 
   // Binds the non-constant terms of `atom` to the pivot's arguments;
   // false when the two do not unify.
@@ -299,9 +368,9 @@ class Engine {
     for (FactRef pivot : pivots) {
       auto atoms = pivot_atoms_.find(pivot.relation());
       if (atoms == pivot_atoms_.end()) continue;
-      for (const PivotAtom& pa : atoms->second) {
-        const Tgd& tgd = constraints_.tgds[pa.tgd];
-        const TgdInfo& info = tgds_[pa.tgd];
+      for (const PivotAtom& pa : atoms->second.tgd) {
+        const Tgd& tgd = constraints_.tgds[pa.owner];
+        const TgdInfo& info = tgds_[pa.owner];
         Substitution bound;
         if (!BindToPivot(tgd.body()[pa.atom], pivot, &bound)) continue;
         // Materialize the matches first: firing mutates the instance the
@@ -326,7 +395,7 @@ class Engine {
               });
         }
         for (const Substitution& trigger : triggers) {
-          if (Fire(round, pa.tgd, trigger)) ++fired;
+          if (Fire(round, pa.owner, trigger)) ++fired;
           if (budget_tripped_) return fired;
         }
       }
@@ -394,37 +463,33 @@ class Engine {
   }
 
   // Fires the naive §3 cardinality-transfer rules: see CardinalityRule.
-  // Semi-naive (`delta` non-null): a binding can only newly need witnesses
-  // if a delta fact raised its source-match count or newly made one of its
-  // values accessible, so all other bindings are skipped — they were
-  // satisfied when last processed, and `have` only grows while `j` grows
-  // only through new source facts.
-  uint64_t FireCardinalityRound(const Instance::DeltaMark* delta) {
+  // Semi-naive (`pivots` non-null): the delta is the round's pivots plus
+  // the facts created so far this round (frontier_). A binding can only
+  // newly need witnesses if a delta fact raised its source-match count or
+  // newly made one of its values accessible, so all other bindings are
+  // skipped — they were satisfied when last processed, and `have` only
+  // grows while `j` grows only through new source facts.
+  uint64_t FireCardinalityRound(const std::vector<FactRef>* pivots) {
     uint64_t fired = 0;
     for (size_t ri = 0; ri < rules_.size(); ++ri) {
       if (!rule_enabled_.empty() && !rule_enabled_[ri]) continue;  // pruned
       const CardinalityRule& rule = rules_[ri];
       std::set<std::vector<Term>> dirty;  // bindings with new source facts
       TermSet newly_accessible;
-      if (delta != nullptr) {
-        FactRange src = result_.instance.FactsOf(rule.source_rel);
-        for (uint32_t i = result_.instance.DeltaBegin(*delta, rule.source_rel);
-             i < src.size(); ++i) {
-          std::vector<Term> key;
-          key.reserve(rule.input_positions.size());
-          for (uint32_t p : rule.input_positions) {
-            key.push_back(src[i].arg(p));
+      if (pivots != nullptr) {
+        auto note = [&](FactRef f) {
+          if (f.relation() == rule.source_rel) {
+            std::vector<Term> key;
+            key.reserve(rule.input_positions.size());
+            for (uint32_t p : rule.input_positions) key.push_back(f.arg(p));
+            dirty.insert(std::move(key));
           }
-          dirty.insert(std::move(key));
-        }
-        if (rule.require_accessible) {
-          FactRange acc = result_.instance.FactsOf(rule.accessible_rel);
-          for (uint32_t i =
-                   result_.instance.DeltaBegin(*delta, rule.accessible_rel);
-               i < acc.size(); ++i) {
-            newly_accessible.insert(acc[i].arg(0));
+          if (rule.require_accessible && f.relation() == rule.accessible_rel) {
+            newly_accessible.insert(f.arg(0));
           }
-        }
+        };
+        for (FactRef f : *pivots) note(f);
+        for (FactRef f : frontier_) note(f);
         if (dirty.empty() && newly_accessible.empty()) continue;
       }
       // Group source facts by their input-position tuple.
@@ -437,7 +502,7 @@ class Engine {
             std::vector<Term>(f.args().begin(), f.args().end()));
       }
       for (const auto& [binding, matches] : groups) {
-        if (delta != nullptr && dirty.count(binding) == 0) {
+        if (pivots != nullptr && dirty.count(binding) == 0) {
           bool touched = false;
           for (Term t : binding) {
             if (newly_accessible.count(t) > 0) {
@@ -518,8 +583,10 @@ class Engine {
   // restarting the scan — the old behaviour was quadratic in the length of
   // merge chains. Scans repeat, resolving terms through the union-find,
   // until a full pass over all FDs finds no new merge; that final clean
-  // pass certifies the fixpoint.
-  bool ApplyFdsToFixpoint() {
+  // pass certifies the fixpoint. *rebuilt reports whether a merge rewrote
+  // the instance (which invalidates frontier_).
+  bool ApplyFdsToFixpoint(bool* rebuilt) {
+    *rebuilt = false;
     if (constraints_.fds.empty()) return true;
     std::unordered_map<Term, Term, TermHash> parent;
     auto find = [&](Term t) {
@@ -575,6 +642,7 @@ class Engine {
         mapping.emplace(term, find(term));
       }
       result_.instance.ReplaceTerms(mapping);
+      *rebuilt = true;
     }
     return true;
   }
@@ -586,12 +654,16 @@ class Engine {
   ChaseResult result_;
   // Indexed like constraints_.tgds; see ctor.
   std::vector<TgdInfo> tgds_;
-  // The enabled TGD body atoms over each relation, in (TGD, atom) order.
-  std::unordered_map<RelationId, std::vector<PivotAtom>> pivot_atoms_;
+  // The enabled TGD body atoms and the goal component atoms over each
+  // relation, in (owner, atom) order.
+  std::unordered_map<RelationId, PivotAtoms> pivot_atoms_;
+  // The goal's variable-connected components (RunChaseUntil only).
+  std::vector<GoalComponent> components_;
   // Per-index relevance filter for rules_ (empty = fire everything).
   std::vector<bool> rule_enabled_;
-  // Facts created in the current round, in creation order: the next
-  // round's pivots unless an EGD rebuild invalidates them.
+  // Facts created in the current round, in creation order: the delta the
+  // goal check and the next round pivot on, unless an EGD rebuild
+  // invalidates them.
   std::vector<FactRef> frontier_;
   // Set by the firing helpers when a firing pushed the instance past
   // options_.max_facts; RunImpl then stops with exhausted = kFacts.

@@ -33,9 +33,23 @@
 //     the fact vectors (invalidating the frontier) and remaps terms, so
 //     activeness conclusions from before the merge no longer transfer;
 //   * when ChaseOptions::use_semi_naive is off (ablation/testing).
-// Cardinality rules and the goal checks in RunChaseUntil are
-// delta-restricted under the same rules, and facts created by cardinality
-// rules join the next frontier too.
+// Facts created by cardinality rules join the next frontier too. The
+// frontier is the chase's only delta: the cardinality rules of round r
+// read their new source and accessible facts from its pivots plus the
+// facts created so far in round r.
+//
+// RunChaseUntil checks the goal once before round 1 and after every
+// round, component by component: the goal is split once per run into its
+// variable-connected components, and a component stays matched once it
+// has matched (facts only accumulate, and an EGD merge is a homomorphism
+// that carries the match along). After round r only the unmatched
+// components are checked, by binding each of their atoms to each fact
+// created in round r (through the same pivot-atom index the TGD bodies
+// use) and searching the rest of the component in the whole instance. A
+// full search of each unmatched component replaces the pivot check before
+// round 1, after a round whose EGD repair rebuilt the instance, and when
+// use_semi_naive is off. Pivoting the whole goal instead would rescan a
+// component that already matched once per new fact.
 //
 // The engine also supports the cardinality-transfer rules produced by the
 // *naive* AMonDet reduction of §3 — the "∃≥j" accessibility axioms for
@@ -74,8 +88,9 @@ struct ChaseOptions {
   /// so no single round can overshoot unboundedly.
   uint64_t max_facts = 200000;
   bool record_trace = false;
-  /// Frontier-driven trigger enumeration (see file comment). Off = every
-  /// fact is a pivot every round (the naive re-enumeration); results are
+  /// Frontier-driven trigger enumeration and goal checks (see file
+  /// comment). Off = every fact is a pivot every round and every goal
+  /// check searches in full (the naive re-enumeration); results are
   /// homomorphically equivalent either way (ablation/property tests).
   bool use_semi_naive = true;
   /// Consult/populate the process-wide containment memoization cache when

@@ -3,9 +3,11 @@
 // Example 8.1 uses counting constraints ("P has exactly 7 tuples; if U
 // meets P then 4 of P's tuples are in U") that no TGD/FD can express, and
 // shows choice simplification fails there. Our reasoning engines do not
-// decide answerability for these; the runtime uses them as *checkable*
-// model constraints: instance generators filter against them and the
-// oracle validates plans only on satisfying instances.
+// decide answerability for these, and no generator or oracle consults
+// them. They are the executable model of Example 8.1: `semantic_test`
+// checks that its instances satisfy them and that, on those instances,
+// the plan complete for bound 5 loses completeness under choice
+// simplification.
 #ifndef RBDA_CONSTRAINTS_SEMANTIC_CONSTRAINT_H_
 #define RBDA_CONSTRAINTS_SEMANTIC_CONSTRAINT_H_
 

@@ -42,10 +42,7 @@ Status Instance::TryAddRow(RelationId relation, std::span<const Term> row,
   }
   uint32_t id = 0;
   RBDA_RETURN_IF_ERROR(store->Insert(row.data(), &id, inserted));
-  if (*inserted) {
-    ++total_rows_;
-    ++generation_;
-  }
+  if (*inserted) ++total_rows_;
   return Status::Ok();
 }
 
@@ -69,23 +66,6 @@ bool Instance::ContainsRow(RelationId relation,
   if (store == nullptr || store->arity() != row.size()) return false;
   uint32_t id = 0;
   return store->Find(row.data(), &id);
-}
-
-Instance::DeltaMark Instance::Mark() const {
-  DeltaMark mark;
-  mark.rebuilds = rebuilds_;
-  mark.generation = generation_;
-  mark.sizes.reserve(stores_.size());
-  for (const auto& [rel, store] : stores_) {
-    mark.sizes.emplace(rel, store.size());
-  }
-  return mark;
-}
-
-uint32_t Instance::DeltaBegin(const DeltaMark& mark,
-                              RelationId relation) const {
-  auto it = mark.sizes.find(relation);
-  return it == mark.sizes.end() ? 0 : static_cast<uint32_t>(it->second);
 }
 
 FactRange Instance::FactsOf(RelationId relation) const {
@@ -157,11 +137,6 @@ void Instance::ReplaceTerms(
       rewritten.AddRow(rel, scratch);
     }
   }
-  // Keep the growth counters monotone across the rebuild: the structural
-  // change invalidates outstanding DeltaMarks via rebuilds_, and
-  // generation_ must never repeat a value for a different state.
-  rewritten.generation_ = generation_ + 1;
-  rewritten.rebuilds_ = rebuilds_ + 1;
   *this = std::move(rewritten);
 }
 
@@ -177,7 +152,6 @@ Instance Instance::RestrictTo(
     out.relation_order_.push_back(rel);
     out.total_rows_ += store.size();
   }
-  out.generation_ = out.total_rows_;
   return out;
 }
 

@@ -12,14 +12,6 @@
 // trigger enumeration probe. A fact is stored once; FactsOf hands out
 // borrowed row views (FactRef) instead of copies.
 //
-// For semi-naive (delta-driven) evaluation the instance also tracks how it
-// grows: per-relation row arenas are append-only, so a DeltaMark — a
-// snapshot of the per-relation sizes plus the structural-rebuild counter —
-// identifies exactly the facts added since the snapshot. ReplaceTerm (EGD
-// merges) rebuilds the arenas and bumps the rebuild counter, which
-// invalidates every outstanding mark; callers must fall back to full
-// evaluation after a rebuild (see MarkValid).
-//
 // Row ids are 32-bit and checked: growth past the id space surfaces as a
 // Status from TryAddFact/TryAddRow (the plain AddFact aborts loudly), never
 // as silent truncation.
@@ -78,19 +70,6 @@ using TermSet = std::unordered_set<Term, TermHash>;
 
 class Instance {
  public:
-  /// A point-in-time snapshot of the instance's growth state, for
-  /// semi-naive delta evaluation: the facts of `relation` appended after
-  /// the mark are exactly FactsOf(relation)[DeltaBegin(mark, relation)..].
-  /// A mark is invalidated by structural rebuilds (ReplaceTerm); check
-  /// MarkValid before using DeltaBegin. Sizes are stored untruncated; the
-  /// checked 32-bit row-id guard keeps every recorded size below 2^32.
-  struct DeltaMark {
-    uint64_t rebuilds = 0;
-    uint64_t generation = 0;  // generation() at mark time; the delta holds
-                              // generation() - generation facts
-    std::unordered_map<RelationId, uint64_t> sizes;
-  };
-
   /// Adds a fact; returns true if it was not already present. Aborts
   /// (loudly, never silently truncating) if the relation's checked row-id
   /// space is exhausted — budget-bounded callers on the hot path use
@@ -180,29 +159,6 @@ class Instance {
   size_t NumFacts() const { return static_cast<size_t>(total_rows_); }
   bool Empty() const { return total_rows_ == 0; }
 
-  /// Monotonic count of successful AddFact calls (also bumped once per
-  /// structural rebuild so it never repeats a value for different states).
-  uint64_t generation() const { return generation_; }
-
-  /// Count of structural rebuilds (ReplaceTerm / ReplaceTerms calls that
-  /// changed anything). A rebuild reorders the per-relation row arenas,
-  /// so it invalidates every DeltaMark taken before it.
-  uint64_t rebuilds() const { return rebuilds_; }
-
-  /// Snapshots the current growth state.
-  DeltaMark Mark() const;
-
-  /// True if no structural rebuild happened since `mark` was taken, i.e.
-  /// DeltaBegin ranges computed against it are meaningful.
-  bool MarkValid(const DeltaMark& mark) const {
-    return mark.rebuilds == rebuilds_;
-  }
-
-  /// First index into FactsOf(relation) of the facts appended since
-  /// `mark`. Requires MarkValid(mark). The uint32_t return cannot
-  /// truncate: the checked row-id guard caps every arena below 2^32 rows.
-  uint32_t DeltaBegin(const DeltaMark& mark, RelationId relation) const;
-
   /// Iteration over all facts, relation by relation in first-insertion
   /// order (deterministic for a given construction sequence). The callback
   /// receives borrowed FactRef row views.
@@ -252,8 +208,6 @@ class Instance {
   std::unordered_map<RelationId, RelationStore> stores_;
   std::vector<RelationId> relation_order_;
   uint64_t total_rows_ = 0;
-  uint64_t generation_ = 0;
-  uint64_t rebuilds_ = 0;
   uint64_t max_rows_per_relation_ = RelationStore::kMaxRows;
 };
 

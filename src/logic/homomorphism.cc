@@ -1,7 +1,5 @@
 #include "logic/homomorphism.h"
 
-#include <algorithm>
-
 namespace rbda {
 
 Term ApplyToTerm(const Substitution& sub, Term t) {
@@ -25,15 +23,6 @@ std::vector<Atom> ApplyToAtoms(const Substitution& sub,
 
 namespace {
 
-// Half-open range of fact indexes (into FactsOf(relation)) an atom may
-// match. The default admits every fact; semi-naive pivot partitioning
-// narrows ranges per atom.
-struct AtomRange {
-  uint32_t lo = 0;
-  uint32_t hi = UINT32_MAX;
-  bool Contains(uint32_t i) const { return i >= lo && i < hi; }
-};
-
 // Backtracking join over the atoms. The atom order is chosen dynamically:
 // at each level we pick the remaining atom with the most bound arguments
 // (ties broken by the smallest candidate-set estimate), which keeps
@@ -43,10 +32,8 @@ struct AtomRange {
 class Searcher {
  public:
   Searcher(const std::vector<Atom>& atoms, const Instance& target,
-           std::function<bool(const Substitution&)> callback,
-           const std::vector<AtomRange>* ranges = nullptr)
-      : atoms_(atoms), target_(target), callback_(std::move(callback)),
-        ranges_(ranges) {
+           std::function<bool(const Substitution&)> callback)
+      : atoms_(atoms), target_(target), callback_(std::move(callback)) {
     for (size_t i = 0; i < atoms_.size(); ++i) {
       for (const Term& t : atoms_[i].args) {
         if (!t.IsConstant()) {
@@ -192,21 +179,16 @@ class Searcher {
       return true;
     };
 
-    AtomRange range;  // default: all facts
-    if (ranges_ != nullptr) range = (*ranges_)[idx];
     if (postings != nullptr) {
       for (uint32_t i : *postings) {
-        if (!range.Contains(i)) continue;
         if (!try_fact(facts[i])) {
           keep_going = false;
           break;
         }
       }
     } else {
-      uint32_t end = std::min<uint32_t>(static_cast<uint32_t>(facts.size()),
-                                        range.hi);
-      for (uint32_t i = range.lo; i < end; ++i) {
-        if (!try_fact(facts[i])) {
+      for (FactRef fact : facts) {
+        if (!try_fact(fact)) {
           keep_going = false;
           break;
         }
@@ -219,7 +201,6 @@ class Searcher {
   const std::vector<Atom>& atoms_;
   const Instance& target_;
   std::function<bool(const Substitution&)> callback_;
-  const std::vector<AtomRange>* ranges_;
   std::vector<bool> used_;
   // Atom indexes containing each non-constant term, one entry per
   // occurrence (feeds the incremental bound scores).
@@ -252,51 +233,6 @@ size_t ForEachHomomorphism(
   Searcher searcher(atoms, target, callback);
   searcher.Run(&sub);
   return searcher.count();
-}
-
-size_t ForEachHomomorphismDelta(
-    const std::vector<Atom>& atoms, const Instance& target,
-    const Substitution* seed, const Instance::DeltaMark& delta,
-    const std::function<bool(const Substitution&)>& callback) {
-  size_t total = 0;
-  // Pivot partitioning: for pivot p, atom p matches inside the delta,
-  // atoms before p match strictly before it, atoms after p match anywhere.
-  // The union over pivots covers every homomorphism touching the delta,
-  // and the partitions are disjoint, so nothing is visited twice.
-  std::vector<AtomRange> ranges(atoms.size());
-  for (size_t p = 0; p < atoms.size(); ++p) {
-    uint32_t begin = target.DeltaBegin(delta, atoms[p].relation);
-    if (begin >= target.FactsOf(atoms[p].relation).size()) {
-      continue;  // no delta facts for this pivot's relation
-    }
-    for (size_t j = 0; j < atoms.size(); ++j) {
-      if (j < p) {
-        ranges[j] = AtomRange{0, target.DeltaBegin(delta, atoms[j].relation)};
-      } else if (j == p) {
-        ranges[j] = AtomRange{begin, UINT32_MAX};
-      } else {
-        ranges[j] = AtomRange{};
-      }
-    }
-    Substitution sub = seed ? *seed : Substitution();
-    Searcher searcher(atoms, target, callback, &ranges);
-    bool keep_going = searcher.Run(&sub);
-    total += searcher.count();
-    if (!keep_going) break;  // callback asked to stop
-  }
-  return total;
-}
-
-std::optional<Substitution> FindHomomorphismDelta(
-    const std::vector<Atom>& atoms, const Instance& target,
-    const Substitution* seed, const Instance::DeltaMark& delta) {
-  std::optional<Substitution> found;
-  ForEachHomomorphismDelta(atoms, target, seed, delta,
-                           [&](const Substitution& sub) {
-                             found = sub;
-                             return false;  // stop at first
-                           });
-  return found;
 }
 
 bool InstanceHomomorphismExists(const Instance& source,

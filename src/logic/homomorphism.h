@@ -47,25 +47,6 @@ size_t ForEachHomomorphism(
     const Substitution* seed,
     const std::function<bool(const Substitution&)>& callback);
 
-/// Semi-naive (delta-restricted) enumeration: visits exactly those
-/// homomorphisms that map at least one atom onto a fact appended after
-/// `delta` was taken (requires target.MarkValid(delta)). Implemented by
-/// pivot partitioning — pivot atom i maps into the delta, atoms before i
-/// map into the pre-delta prefix, atoms after i map anywhere — so each
-/// qualifying homomorphism is visited exactly once. Homomorphisms whose
-/// atoms all land in pre-delta facts are skipped; a caller that saw the
-/// pre-delta instance already enumerated them.
-size_t ForEachHomomorphismDelta(
-    const std::vector<Atom>& atoms, const Instance& target,
-    const Substitution* seed, const Instance::DeltaMark& delta,
-    const std::function<bool(const Substitution&)>& callback);
-
-/// Delta-restricted existence check: first homomorphism with at least one
-/// atom in the delta, or std::nullopt.
-std::optional<Substitution> FindHomomorphismDelta(
-    const std::vector<Atom>& atoms, const Instance& target,
-    const Substitution* seed, const Instance::DeltaMark& delta);
-
 /// True if there is a homomorphism from instance `source` into `target`
 /// (constants fixed, nulls and variables mappable).
 bool InstanceHomomorphismExists(const Instance& source,

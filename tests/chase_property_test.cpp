@@ -117,7 +117,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FdChaseSweep,
 
 // The delta-driven engine must be observationally equivalent to the naive
 // re-enumeration engine: same chase status, homomorphically equivalent
-// results, identical certain answers. Swept over three schema families
+// results, identical certain answers, and goal checks that agree with a
+// full search of the final instance. Swept over three schema families
 // (IDs, FDs, UIDs+FDs) × 67 seeds = 201 generated schemas.
 class SemiNaiveEquivalence : public ::testing::TestWithParam<uint64_t> {
  protected:
@@ -164,6 +165,107 @@ class SemiNaiveEquivalence : public ::testing::TestWithParam<uint64_t> {
       EXPECT_EQ(ca_naive->inconsistent, ca_semi->inconsistent)
           << schema.ToString();
     }
+
+    // The goal check, on a generated query (odd seeds append a one-atom
+    // query over fresh variables, so that goal has at least two
+    // components) and on facts of the last and of a random firing of a
+    // traced chase, with their nulls turned into variables (goals that
+    // hold only after some rounds).
+    std::vector<Atom> query_goal = GenerateQuery(schema, 2, 3, rng).atoms();
+    if (GetParam() % 2 == 1) {
+      query_goal.push_back(GenerateQuery(schema, 1, 1, rng).atoms()[0]);
+      EXPECT_GE(NumComponents(query_goal), 2u);
+    }
+    ChaseOptions traced = semi;
+    traced.record_trace = true;
+    std::vector<ChaseStep> trace =
+        RunChase(start, schema.constraints(), u, traced).trace;
+    std::vector<Atom> chased_goal;
+    Substitution variable_of;
+    if (!trace.empty()) {
+      for (const ChaseStep* step :
+           {&trace.back(), &trace[rng->Below(trace.size())]}) {
+        Atom atom = step->added.front();
+        for (Term& t : atom.args) {
+          if (!t.IsNull()) continue;
+          auto [it, inserted] = variable_of.emplace(t, Term());
+          if (inserted) it->second = u->FreshVariable();
+          t = it->second;
+        }
+        chased_goal.push_back(std::move(atom));
+      }
+    }
+    CheckGoal(schema, start, query_goal, naive, semi, u);
+    CheckGoal(schema, start, chased_goal, naive, semi, u);
+  }
+
+  // RunChaseUntil, naive and semi-naive: `goal_reached` agrees with a full
+  // search of the final instance, the modes agree when both complete, and
+  // a goal reached in round r > 1 is not reached when capped at r − 1.
+  static void CheckGoal(const ServiceSchema& schema, const Instance& start,
+                        const std::vector<Atom>& goal,
+                        const ChaseOptions& naive, const ChaseOptions& semi,
+                        Universe* u) {
+    bool reached[2] = {false, false};
+    ChaseStatus status[2] = {ChaseStatus::kCompleted, ChaseStatus::kCompleted};
+    const ChaseOptions* modes[2] = {&naive, &semi};
+    for (int m = 0; m < 2; ++m) {
+      ChaseResult run = RunChaseUntil(start, schema.constraints(), goal, u,
+                                      &reached[m], *modes[m]);
+      status[m] = run.status;
+      // A failed chase stops before its goal check.
+      if (run.status != ChaseStatus::kFdConflict) {
+        EXPECT_EQ(reached[m], FindHomomorphism(goal, run.instance).has_value())
+            << "mode " << m << "\n" << schema.ToString();
+      }
+      if (reached[m] && run.rounds > 1) {
+        ChaseOptions capped = *modes[m];
+        capped.max_rounds = run.rounds - 1;
+        bool capped_reached = true;
+        ChaseResult capped_run = RunChaseUntil(
+            start, schema.constraints(), goal, u, &capped_reached, capped);
+        EXPECT_FALSE(capped_reached) << "mode " << m << "\n"
+                                     << schema.ToString();
+        EXPECT_FALSE(FindHomomorphism(goal, capped_run.instance).has_value())
+            << "mode " << m << "\n" << schema.ToString();
+      }
+    }
+    if (status[0] == ChaseStatus::kCompleted &&
+        status[1] == ChaseStatus::kCompleted) {
+      EXPECT_EQ(reached[0], reached[1]) << schema.ToString();
+    }
+  }
+
+  // Number of variable-connected components of `atoms`.
+  static size_t NumComponents(const std::vector<Atom>& atoms) {
+    auto share_variable = [](const Atom& a, const Atom& b) {
+      for (Term t : a.args) {
+        if (t.IsConstant()) continue;
+        for (Term s : b.args) {
+          if (s == t) return true;
+        }
+      }
+      return false;
+    };
+    std::vector<bool> seen(atoms.size(), false);
+    size_t components = 0;
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      if (seen[i]) continue;
+      ++components;
+      seen[i] = true;
+      std::vector<size_t> stack{i};
+      while (!stack.empty()) {
+        size_t k = stack.back();
+        stack.pop_back();
+        for (size_t j = 0; j < atoms.size(); ++j) {
+          if (!seen[j] && share_variable(atoms[k], atoms[j])) {
+            seen[j] = true;
+            stack.push_back(j);
+          }
+        }
+      }
+    }
+    return components;
   }
 };
 

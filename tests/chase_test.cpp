@@ -20,6 +20,15 @@ class ChaseTest : public ::testing::Test {
     b_ = universe_.Constant("b");
     c_ = universe_.Constant("c");
   }
+  // RunChaseUntil capped at `max_rounds`.
+  ChaseResult ChaseToGoal(const Instance& start, const ConstraintSet& cs,
+                          const std::vector<Atom>& goal, uint64_t max_rounds,
+                          bool* reached) {
+    ChaseOptions options;
+    options.max_rounds = max_rounds;
+    return RunChaseUntil(start, cs, goal, &universe_, reached, options);
+  }
+
   Universe universe_;
   RelationId r_, s_, t_;
   Term x_, y_, z_, a_, b_, c_;
@@ -231,6 +240,129 @@ TEST_F(ChaseTest, FactBudgetDoesNotMaskReachedGoal) {
                                      &goal_reached, options);
   EXPECT_TRUE(goal_reached);
   EXPECT_EQ(result.status, ChaseStatus::kCompleted);
+}
+
+TEST_F(ChaseTest, GoalComponentsMatchInDifferentRounds) {
+  // P0 -> P1 -> P2 and Q0 -> Q1. The goal Q1(y) ∧ P2(x) has two
+  // components: Q1(y) matches in round 1, P2(x) in round 2. The round-2
+  // check sees only P2(a) new, so Q1(y) must stay matched from round 1.
+  std::vector<RelationId> p, q;
+  for (int i = 0; i < 3; ++i) {
+    p.push_back(*universe_.AddRelation("P" + std::to_string(i), 1));
+    q.push_back(*universe_.AddRelation("Q" + std::to_string(i), 1));
+  }
+  ConstraintSet cs;
+  for (const auto& [from, to] : {std::pair{p[0], p[1]}, std::pair{p[1], p[2]},
+                                 std::pair{q[0], q[1]}}) {
+    cs.tgds.emplace_back(std::vector<Atom>{Atom(from, {x_})},
+                         std::vector<Atom>{Atom(to, {x_})});
+  }
+  Instance start;
+  start.AddFact(p[0], {a_});
+  start.AddFact(q[0], {b_});
+  std::vector<Atom> goal{Atom(q[1], {y_}), Atom(p[2], {x_})};
+  bool reached = false;
+  ChaseResult result = ChaseToGoal(start, cs, goal, 10, &reached);
+  EXPECT_TRUE(reached);
+  EXPECT_EQ(result.rounds, 2u);
+  EXPECT_EQ(result.goal_checks, 3u);  // before round 1, after rounds 1, 2
+
+  ChaseResult capped = ChaseToGoal(start, cs, goal, 1, &reached);
+  EXPECT_FALSE(reached);
+  EXPECT_EQ(capped.exhausted, ChaseExhausted::kRounds);
+  EXPECT_FALSE(FindHomomorphism(goal, capped.instance).has_value());
+}
+
+TEST_F(ChaseTest, GoalComponentStaysMatchedAcrossEgdRebuild) {
+  // Round 1: T(a) creates R(a,n) and V(n), matching the component
+  // R(x,y) ∧ V(y). Round 2: S(a,b) ∧ V(n) creates R(a,b), and the FD
+  // R: 0 -> 1 merges n into b, rebuilding the instance. Round 3 pivots on
+  // every fact and R(a,b) creates U(a), matching the other component.
+  RelationId v = *universe_.AddRelation("V", 1);
+  RelationId u = *universe_.AddRelation("U", 1);
+  Term w = universe_.Variable("w");
+  ConstraintSet cs;
+  cs.fds.emplace_back(r_, std::vector<uint32_t>{0}, 1);
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(t_, {x_})},
+                       std::vector<Atom>{Atom(r_, {x_, y_}), Atom(v, {y_})});
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(s_, {x_, w}), Atom(v, {y_})},
+                       std::vector<Atom>{Atom(r_, {x_, w})});
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(r_, {x_, b_})},
+                       std::vector<Atom>{Atom(u, {x_})});
+  Instance start;
+  start.AddFact(s_, {a_, b_});  // S first: no V yet when S(a,b) pivots
+  start.AddFact(t_, {a_});
+  std::vector<Atom> matched_first{Atom(r_, {x_, y_}), Atom(v, {y_})};
+  std::vector<Atom> goal = matched_first;
+  goal.push_back(Atom(u, {z_}));
+
+  bool reached = false;
+  ChaseResult result = ChaseToGoal(start, cs, goal, 10, &reached);
+  EXPECT_TRUE(reached);
+  EXPECT_EQ(result.rounds, 3u);
+  EXPECT_EQ(result.egd_merges, 1u);
+
+  ChaseResult capped = ChaseToGoal(start, cs, goal, 2, &reached);
+  EXPECT_FALSE(reached);
+  EXPECT_EQ(capped.egd_merges, 1u);
+  EXPECT_TRUE(capped.instance.Contains(Atom(v, {b_})));
+  EXPECT_TRUE(FindHomomorphism(matched_first, capped.instance).has_value());
+  EXPECT_FALSE(FindHomomorphism(goal, capped.instance).has_value());
+}
+
+TEST_F(ChaseTest, ConnectedGoalJoinsStartFactWithRoundFact) {
+  // The goal S(x,y) ∧ R(x,z) is one component; its only match joins the
+  // start fact S(a,b) with R(a,n), created in round 2.
+  RelationId w = *universe_.AddRelation("W", 1);
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(t_, {x_})},
+                       std::vector<Atom>{Atom(w, {x_})});
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(w, {x_})},
+                       std::vector<Atom>{Atom(r_, {x_, y_})});
+  Instance start;
+  start.AddFact(s_, {a_, b_});
+  start.AddFact(t_, {a_});
+  std::vector<Atom> goal{Atom(s_, {x_, y_}), Atom(r_, {x_, z_})};
+  bool reached = false;
+  ChaseResult result = ChaseToGoal(start, cs, goal, 10, &reached);
+  EXPECT_TRUE(reached);
+  EXPECT_EQ(result.rounds, 2u);
+
+  ChaseResult capped = ChaseToGoal(start, cs, goal, 1, &reached);
+  EXPECT_FALSE(reached);
+  EXPECT_FALSE(FindHomomorphism(goal, capped.instance).has_value());
+}
+
+TEST_F(ChaseTest, GroundAndEmptyGoals) {
+  // S(x,y) -> T(y) derives T(b) in round 1.
+  ConstraintSet cs;
+  cs.tgds.emplace_back(std::vector<Atom>{Atom(s_, {x_, y_})},
+                       std::vector<Atom>{Atom(t_, {y_})});
+  Instance start;
+  start.AddFact(s_, {a_, b_});
+  bool reached = false;
+
+  // The empty goal holds before any round.
+  ChaseResult empty = ChaseToGoal(start, cs, {}, 10, &reached);
+  EXPECT_TRUE(reached);
+  EXPECT_EQ(empty.rounds, 0u);
+
+  // A ground atom of the start instance holds before any round.
+  ChaseResult given = ChaseToGoal(start, cs, {Atom(s_, {a_, b_})}, 10,
+                                  &reached);
+  EXPECT_TRUE(reached);
+  EXPECT_EQ(given.rounds, 0u);
+
+  // A derived ground atom, alone and beside a ground atom of the start.
+  ChaseResult derived = ChaseToGoal(
+      start, cs, {Atom(t_, {b_}), Atom(s_, {a_, b_})}, 10, &reached);
+  EXPECT_TRUE(reached);
+  EXPECT_EQ(derived.rounds, 1u);
+
+  // A ground atom the chase never derives: the chase terminates first.
+  ChaseResult never = ChaseToGoal(start, cs, {Atom(t_, {c_})}, 10, &reached);
+  EXPECT_FALSE(reached);
+  EXPECT_EQ(never.status, ChaseStatus::kCompleted);
 }
 
 TEST_F(ChaseTest, FdRepairResolvesLongMergeChain) {

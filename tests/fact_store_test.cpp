@@ -94,8 +94,7 @@ TEST_F(FactStoreTest, OpenAddressedDedupSurvivesGrowthAndCollisions) {
 }
 
 // A structural rebuild remaps arena rows in place across block boundaries:
-// merged duplicates disappear, postings are rebuilt, and outstanding
-// DeltaMarks are invalidated.
+// merged duplicates disappear and postings are rebuilt.
 TEST_F(FactStoreTest, ReplaceTermsRebuildsArenaRows) {
   constexpr uint32_t kRows = 2 * RelationStore::kRowsPerBlock + 17;
   Instance inst;
@@ -103,11 +102,9 @@ TEST_F(FactStoreTest, ReplaceTermsRebuildsArenaRows) {
   for (uint32_t i = 0; i < kRows; ++i) {
     inst.AddFact(r_, {C(i % 64), C(1000 + i)});
   }
-  Instance::DeltaMark mark = inst.Mark();
   std::unordered_map<Term, Term, TermHash> mapping;
   for (uint32_t i = 0; i < 64; ++i) mapping.emplace(C(i), merged);
   inst.ReplaceTerms(mapping);
-  EXPECT_FALSE(inst.MarkValid(mark));
   EXPECT_EQ(inst.NumFacts(), kRows);  // second columns all distinct
   for (FactRef f : inst.FactsOf(r_)) EXPECT_EQ(f.arg(0), merged);
   EXPECT_EQ(inst.FactsWith(r_, 0, merged).size(), kRows);

@@ -113,53 +113,6 @@ TEST_F(LogicTest, SeedMappingToAbsentNullPrunesOnlyItsAtom) {
           .has_value());
 }
 
-TEST_F(LogicTest, DeltaHomomorphismSeesOnlyNewMatches) {
-  Instance data;
-  data.AddFact(r_, {a_, b_});
-  Instance::DeltaMark mark = data.Mark();
-  data.AddFact(r_, {a_, c_});
-
-  // One atom: only the post-mark fact matches.
-  std::vector<Substitution> found;
-  size_t n = ForEachHomomorphismDelta(
-      {Atom(r_, {x_, y_})}, data, nullptr, mark, [&](const Substitution& sub) {
-        found.push_back(sub);
-        return true;
-      });
-  ASSERT_EQ(n, 1u);
-  EXPECT_EQ(ApplyToTerm(found[0], y_), c_);
-
-  // An empty delta yields no homomorphisms even though full search has two.
-  Instance::DeltaMark now = data.Mark();
-  EXPECT_EQ(ForEachHomomorphismDelta({Atom(r_, {x_, y_})}, data, nullptr, now,
-                                     [](const Substitution&) { return true; }),
-            0u);
-  EXPECT_FALSE(FindHomomorphismDelta({Atom(r_, {x_, y_})}, data, nullptr, now)
-                   .has_value());
-}
-
-TEST_F(LogicTest, DeltaHomomorphismPartitionsWithoutDuplicates) {
-  // Two-atom join R(x,y), R(y,z): full count must equal pre-mark count plus
-  // delta count — the pivot partitioning enumerates each new match exactly
-  // once.
-  Instance data;
-  data.AddFact(r_, {a_, b_});
-  data.AddFact(r_, {b_, c_});
-  size_t before = ForEachHomomorphism(
-      {Atom(r_, {x_, y_}), Atom(r_, {y_, z_})}, data, nullptr,
-      [](const Substitution&) { return true; });
-  Instance::DeltaMark mark = data.Mark();
-  data.AddFact(r_, {c_, a_});  // closes the cycle: 2 new chain matches
-  size_t after = ForEachHomomorphism(
-      {Atom(r_, {x_, y_}), Atom(r_, {y_, z_})}, data, nullptr,
-      [](const Substitution&) { return true; });
-  size_t delta = ForEachHomomorphismDelta(
-      {Atom(r_, {x_, y_}), Atom(r_, {y_, z_})}, data, nullptr, mark,
-      [](const Substitution&) { return true; });
-  EXPECT_EQ(before + delta, after);
-  EXPECT_EQ(delta, 2u);
-}
-
 TEST_F(LogicTest, EmptyAtomListHasOneHomomorphism) {
   Instance data;
   size_t n = ForEachHomomorphism({}, data, nullptr,

@@ -131,39 +131,6 @@ TEST_P(StoreDifferentialSweep, RandomOpsMatchReferenceModel) {
   }
 }
 
-// Append-only growth keeps DeltaMark ranges exact: facts appended after a
-// mark are precisely FactsOf(rel)[DeltaBegin(mark, rel)..].
-TEST_P(StoreDifferentialSweep, DeltaMarksDescribeExactlyTheNewFacts) {
-  Rng rng(GetParam() * 41 + 5);
-  Universe u;
-  RelationId rel =
-      *u.AddRelation("M" + std::to_string(GetParam()), 2);
-  std::vector<Term> domain;
-  for (uint32_t i = 0; i < 40; ++i) {
-    domain.push_back(u.Constant("m" + std::to_string(i)));
-  }
-  Instance inst;
-  auto add_some = [&]() {
-    Model added;
-    for (int i = 0; i < 30; ++i) {
-      Fact f(rel, {domain[rng.Below(domain.size())],
-                   domain[rng.Below(domain.size())]});
-      if (inst.AddFact(f)) added.insert(std::move(f));
-    }
-    return added;
-  };
-  add_some();
-  Instance::DeltaMark mark = inst.Mark();
-  Model added = add_some();
-  ASSERT_TRUE(inst.MarkValid(mark));
-  FactRange facts = inst.FactsOf(rel);
-  Model delta;
-  for (uint32_t i = inst.DeltaBegin(mark, rel); i < facts.size(); ++i) {
-    delta.insert(Fact(facts[i]));
-  }
-  EXPECT_EQ(delta, added);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreDifferentialSweep,
                          ::testing::Range<uint64_t>(1, 13));
 
